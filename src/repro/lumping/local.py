@@ -22,8 +22,6 @@ from repro.lumping.md_model import MDModel
 from repro.lumping.refinement import comp_lumping
 from repro.matrixdiagram.md import MatrixDiagram
 from repro.partitions import Partition
-from repro.robust.pool import parallel_config
-from repro.robust.shard import parallel_refinement_rounds
 from repro.util.numeric import quantize
 
 
@@ -72,7 +70,6 @@ def comp_lumping_level(
     key: str = "formal",
     strategy: str = "paper",
     max_rounds: Optional[int] = None,
-    parallel=None,
 ) -> Partition:
     """Fixed-point iteration of ``CompLumping`` over all nodes of a level
     (Figure 3a).
@@ -96,14 +93,6 @@ def comp_lumping_level(
     max_rounds:
         Optional safety bound on fixed-point rounds (each round refines or
         terminates, so at most ``|S_level|`` rounds are ever needed).
-    parallel:
-        An int or :class:`~repro.robust.pool.ParallelConfig`: run each
-        round's per-node ``CompLumping`` calls on a fault-tolerant
-        worker pool and meet the results in sorted node order.  The
-        fixed point — the coarsest partition refining ``initial`` that
-        is stable for every node — is the same either way, so the
-        canonical result (and everything lumped with it) is identical
-        to the serial path's.
     """
     if kind not in ("ordinary", "exact"):
         raise LumpingError(f"kind must be 'ordinary' or 'exact', not {kind!r}")
@@ -126,18 +115,6 @@ def comp_lumping_level(
             return md_node_ordinary_matrix_splitter(md, node, flat_cache)
         return md_node_exact_matrix_splitter(md, node, flat_cache)
 
-    cfg = parallel_config(parallel)
-    if cfg is not None:
-        return parallel_refinement_rounds(
-            size,
-            nodes,
-            splitter_for,
-            initial,
-            strategy,
-            max_rounds,
-            cfg,
-            level_label=f"l{level}",
-        )
     partition = initial.copy()
     rounds = 0
     while True:

@@ -28,19 +28,17 @@ bytes.  Every write is atomic (tmp file + fsync + rename), so a crash
 mid-write leaves either the old snapshot or the new one, never a torn
 file.
 
-A checkpoint directory may have *concurrent* writers: the parallel
-execution layer (:mod:`repro.robust.pool`) forks worker processes that
-inherit the active checkpointer and snapshot their shard of the work
-under per-task scopes.  Two rules make that safe.  First, every
-manifest mutation happens under an advisory ``flock`` on
-``<directory>/.lock`` and starts by re-reading the manifest from disk
-(read-merge-write), so one worker's manifest write can never erase
-another's entry.  Second, shard snapshots live under per-task scope
-labels (distinct sequence-key bases), so keep_last pruning — which only
-ever touches files of the *same* base — cannot garbage-collect another
-worker's snapshots.  Each snapshot records ``format`` (the schema version), a ``guard``
-dict describing the computation it belongs to (problem sizes, content
-digests), ``complete`` (whether the loop finished), and the ``payload``.
+A checkpoint directory may have *concurrent* writers: nothing stops
+two processes from pointing at the same directory.  Two rules make
+that safe.  First, every manifest mutation happens under an advisory
+``flock`` on ``<directory>/.lock`` and starts by re-reading the
+manifest from disk (read-merge-write), so one writer's manifest write
+can never erase another's entry.  Second, keep_last pruning only ever
+touches files of the *same* sequence-key base, so it cannot
+garbage-collect snapshots written under another scope.  Each snapshot
+records ``format`` (the schema version), a ``guard`` dict describing
+the computation it belongs to (problem sizes, content digests),
+``complete`` (whether the loop finished), and the ``payload``.
 
 Resume is strictly best-effort: a snapshot that is missing from the
 manifest, fails its hash, carries the wrong format version, or whose
@@ -384,9 +382,8 @@ class Checkpointer:
         """Advisory exclusive lock on the checkpoint directory.
 
         Serializes manifest read-merge-write cycles across the processes
-        sharing this directory (the pool's forked workers and their
-        parent).  Degrades to a no-op where ``fcntl`` is unavailable or
-        the lockfile cannot be opened — single-writer behaviour, which
+        sharing this directory.  Degrades to a no-op where ``fcntl`` is
+        unavailable or the lockfile cannot be opened — single-writer behaviour, which
         is what those platforms had before.
 
         The holder stamps its PID into the lockfile.  A stamp naming a
@@ -627,8 +624,8 @@ class Checkpointer:
         two leaves orphan files the manifest never references again —
         harmless — rather than manifest entries whose files are gone.
         Only files of ``key``'s own sequence base are candidates, so a
-        concurrent worker's snapshots (distinct per-shard scopes) are
-        never collected from here.
+        concurrent writer's snapshots under another scope are never
+        collected from here.
         """
         if self.keep_last is None:
             return

@@ -18,12 +18,6 @@ site                    effect when a matching rule fires
 ``budget``              :class:`InjectedBudgetFault` (a ``BudgetExceeded``),
                         fired from the cooperative budget hooks — a budget
                         must be active for these to run
-``worker``              checked via :func:`check_at` with the worker's
-                        1-based pool slot at worker startup — ``worker:2``
-                        targets the second pool worker
-``task``                checked via :func:`check_at` with the 1-based pool
-                        task id just before the task executes — e.g.
-                        ``task:3@hang:5`` stalls task 3 for five seconds
 ``certify.corrupt``     :class:`InjectedFault`, caught by
                         :func:`repro.robust.certify.apply_corruption`,
                         which flips one stationary entry instead of
@@ -38,6 +32,23 @@ site                    effect when a matching rule fires
                         write (manifest and per-point records) — the
                         kill-anywhere persistence boundary of
                         :mod:`repro.sweep.frontier`
+``service.submit``      :class:`InjectedFault` when a job is submitted to
+                        the store, before any file is written
+``service.claim``       :class:`InjectedFault` when a worker claims a
+                        claimable job, before the claim record
+``service.record``      :class:`InjectedFault` before *every* durable job
+                        record append — the kill-anywhere site of
+                        :mod:`repro.service.store`
+``service.cache``       :class:`InjectedFault` on every result-cache get
+                        and put
+``service.worker``      :class:`InjectedFault` at the top of every worker
+                        claim-and-process step
+``service.run``         :class:`InjectedFault` when a claimed job starts
+                        running, before its spec is loaded
+``service.slot``        checked via :func:`check_at` with the 1-based
+                        dispatcher slot at worker-process startup —
+                        ``service.slot:1@sigkill`` kills the first slot's
+                        worker
 ======================  ====================================================
 
 Injected exceptions subclass both :class:`InjectedFault` and the error
@@ -305,13 +316,14 @@ class FaultInjector:
         """Like :meth:`check`, but match at an explicit 1-based ``index``
         without touching the site's call counter.
 
-        This is how position-addressed sites work: a worker pool checks
-        ``("worker", slot)`` at each worker's startup and
-        ``("task", task_id)`` before each task, so a rule like
-        ``worker:2@sigkill`` targets *the second worker* regardless of
-        how many workers started before it, or in what order.  One-shot
-        rules honour the fired log exactly as counted checks do, which
-        is what keeps a restarted worker (same slot) from dying forever.
+        This is how position-addressed sites work: the sweep driver
+        checks ``("sweep.point", index)`` at each plan point and the
+        service dispatcher checks ``("service.slot", slot)`` at each
+        worker's startup, so a rule like ``service.slot:2@sigkill``
+        targets *the second slot* regardless of how many workers started
+        before it, or in what order.  One-shot rules honour the fired
+        log exactly as counted checks do, which is what keeps a
+        restarted worker (same slot) from dying forever.
         """
         matching = [rule for rule in self.rules if rule.site == site]
         for rule in matching:
@@ -564,30 +576,6 @@ def env_injector() -> Optional[FaultInjector]:
     return _ENV_INJECTOR
 
 
-def injectors_active() -> bool:
-    """Whether any injector (lexical or ambient) is currently active.
-
-    The worker pool uses this to decide whether fault bookkeeping (a
-    scratch fired log, per-task fired-log refreshes) is worth paying
-    for; with no injectors the check sites are free and stay that way.
-    """
-    return bool(_ACTIVE) or _ENV_INJECTOR is not None
-
-
-def reload_fired_log() -> None:
-    """Re-read the installed fired log from disk (no-op without one).
-
-    A forked worker inherits the parent's *in-memory* view of the log;
-    firings recorded by sibling processes after the fork are only in
-    the file.  Re-reading before a position-addressed check keeps
-    one-shot rules one-shot across concurrent workers, not just across
-    sequential restarts.
-    """
-    global _FIRED_LOG
-    if _FIRED_LOG is not None:
-        _FIRED_LOG = _FiredLog(_FIRED_LOG.path)
-
-
 def check(site: str) -> None:
     """Library hook: raise an injected fault if any active rule matches.
 
@@ -603,11 +591,12 @@ def check(site: str) -> None:
 
 
 def check_at(site: str, index: int) -> None:
-    """Library hook for position-addressed sites (pool workers/tasks):
-    fire any rule matching the explicit 1-based ``index`` at ``site``.
+    """Library hook for position-addressed sites (``sweep.point``,
+    ``service.slot``): fire any rule matching the explicit 1-based
+    ``index`` at ``site``.
 
     Unlike :func:`check`, no per-site counter is consumed — the caller
-    names the position, so the same rule means the same worker/task in
+    names the position, so the same rule means the same point/slot in
     every process and on every restart.
     """
     if not _ACTIVE and _ENV_INJECTOR is None:

@@ -1,7 +1,7 @@
 """Durable, fault-tolerant analysis service around ``lump_and_solve``.
 
 The service turns the robustness substrate (budgets, checkpoints,
-supervisor, pool) into callable infrastructure: a crash-safe job store
+supervisor) into callable infrastructure: a crash-safe job store
 (:mod:`repro.service.store`), leased supervised workers
 (:mod:`repro.service.worker`, :mod:`repro.service.dispatcher`), and a
 content-addressed result cache (:mod:`repro.service.cache`), fronted by

@@ -19,8 +19,8 @@ Shutdown is drain-and-stop: in drain mode the dispatcher exits when
 every job is terminal; on SIGTERM/SIGINT it tells workers to finish
 their current job and stop claiming new ones.
 
-Worker deaths land in the dispatcher's :class:`RunReport` as pool
-events (same vocabulary as :mod:`repro.robust.pool`), so one report
+Worker lifecycle events (starts, crashes, restarts, retirements) land
+in the dispatcher's :class:`RunReport` as pool events, so one report
 renders the whole recovery trail.
 """
 
@@ -291,8 +291,7 @@ class Dispatcher:
                     not s.retired for s in self._slots
                 ):
                     # Every slot crash-looped out: run the remaining
-                    # jobs inline rather than abandoning the queue (the
-                    # same degrade-to-serial posture as the pool).
+                    # jobs inline rather than abandoning the queue.
                     self.report.record_pool_event(
                         "pool-degraded",
                         detail=(

@@ -1,4 +1,9 @@
-"""Fault injection: rules, call counts, seeding, env activation, types."""
+"""Fault injection: rules, call counts, seeding, env activation, types,
+and the site table in the module docstring."""
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
@@ -164,10 +169,39 @@ def test_after_rule_fires_from_n_onward():
                 faults.check("solver.direct")
 
 
+def _checked_sites():
+    """Every string literal passed to ``faults.check``/``faults.check_at``
+    anywhere under ``src/repro``."""
+    sites = set()
+    for path in Path(faults.__file__).resolve().parents[1].rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("check", "check_at")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "faults"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                sites.add(node.args[0].value)
+    return sites
+
+
+def test_every_checked_site_is_in_the_docstring_table():
+    table = faults.__doc__.split("Injected exceptions")[0]
+    documented = set(re.findall(r"^``([^`]+)``", table, flags=re.MULTILINE))
+    checked = _checked_sites()
+    assert {"solver.direct", "service.slot", "sweep.point"} <= checked
+    assert checked - documented == set()
+
+
 class TestPositionAddressedSites:
-    """The ``worker:<slot>`` / ``task:<id>`` sites consulted by the
-    worker pool: matched by explicit position via ``check_at``, not by
-    call count, and wired through ``REPRO_FAULTS`` like any other rule.
+    """Position-addressed sites (``sweep.point:<index>``,
+    ``service.slot:<slot>``): matched by explicit position via
+    ``check_at``, not by call count, and wired through ``REPRO_FAULTS``
+    like any other rule.
     """
 
     def test_check_at_matches_explicit_position(self):
@@ -184,42 +218,6 @@ class TestPositionAddressedSites:
             # Position addressing never advances the counted-site
             # counter: the same slot can be checked any number of times.
             assert injector.call_count("worker") == 0
-
-    def test_env_worker_kill_is_absorbed_by_the_pool(
-        self, restore_env_injector
-    ):
-        from repro.robust.pool import ParallelConfig, WorkerPool
-        from repro.robust.retry import RetryPolicy
-
-        config = ParallelConfig(
-            workers=2,
-            poll_interval_seconds=0.01,
-            policy=RetryPolicy(max_restarts=3, backoff_initial_seconds=0.0),
-        )
-        try:
-            faults.reload_env("worker:2@sigkill")
-            with WorkerPool(lambda x: x + 1, config) as pool:
-                events = pool.events
-                assert pool.run([1, 2, 3, 4]) == [2, 3, 4, 5]
-        finally:
-            faults.reload_env("")
-        assert any(event.kind == "worker-crashed" for event in events)
-
-    def test_env_task_hang_is_transient(self, restore_env_injector):
-        from repro.robust.pool import ParallelConfig, WorkerPool
-        from repro.robust.retry import RetryPolicy
-
-        config = ParallelConfig(
-            workers=2,
-            poll_interval_seconds=0.01,
-            policy=RetryPolicy(max_restarts=3, backoff_initial_seconds=0.0),
-        )
-        try:
-            faults.reload_env("task:1@hang:0.2")
-            with WorkerPool(lambda x: x + 1, config) as pool:
-                assert pool.run([1, 2, 3]) == [2, 3, 4]
-        finally:
-            faults.reload_env("")
 
 
 class TestParseErrors:
