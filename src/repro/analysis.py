@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:
     from repro.robust.certify import Certificate
+    from repro.robust.supervisor import AttemptContext
 
 from repro.errors import LumpingError
 from repro.lumping.compositional import (
@@ -25,7 +26,11 @@ from repro.lumping.compositional import (
 from repro.lumping.md_model import MDModel
 from repro.markov.solvers import steady_state
 from repro.markov.transient import transient_distribution
+from repro.robust import fallback
 from repro.robust.budgets import Budget
+from repro.robust.checkpoint import Checkpointer
+from repro.robust.checkpoint import scoped as checkpoint_scoped
+from repro.robust.fallback import DEFAULT_SOLVER_CHAIN, ITERATIVE_METHODS
 from repro.robust.report import RunReport
 
 
@@ -102,47 +107,6 @@ class LumpedSolution:
         return total
 
 
-def _make_checkpointer(
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    model: MDModel,
-    kind: str,
-    method: str,
-    key: str,
-    iterate: bool,
-    report: Optional[RunReport],
-    checkpoint_interval: Optional[int] = None,
-    checkpoint_keep_last: Optional[int] = None,
-):
-    """A :class:`~repro.robust.checkpoint.Checkpointer` for one
-    ``lump_and_solve`` configuration, or ``None`` when disabled.
-
-    The fingerprint ties the checkpoint directory to the full pipeline
-    configuration, so snapshots from a different model or method are
-    treated as stale in their entirety.
-    """
-    if checkpoint_dir is None:
-        return None
-    from repro.robust.checkpoint import Checkpointer
-
-    fingerprint = (
-        f"lump_and_solve kind={kind} method={method} key={key} "
-        f"iterate={iterate} levels={tuple(model.md.level_sizes)} "
-        f"n={model.num_states()}"
-    )
-    kwargs = {}
-    if checkpoint_interval is not None:
-        kwargs["interval_iterations"] = checkpoint_interval
-    return Checkpointer(
-        checkpoint_dir,
-        resume=resume,
-        fingerprint=fingerprint,
-        report=report,
-        keep_last=checkpoint_keep_last,
-        **kwargs,
-    )
-
-
 def lump_and_solve(
     model: MDModel,
     kind: str = "ordinary",
@@ -152,12 +116,9 @@ def lump_and_solve(
     *,
     robust: bool = False,
     budget: Optional[Budget] = None,
-    solver_chain: Optional[Sequence[str]] = None,
     report: Optional[RunReport] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    checkpoint_keep_last: Optional[int] = None,
     supervised: bool = False,
     supervisor=None,
     certify: bool = False,
@@ -170,22 +131,23 @@ def lump_and_solve(
     The model must carry a ``reachable`` restriction (or be fully
     reachable): the lumped chain is solved over the restricted space.
 
+    Every run goes through the same stages (``lumping``, ``solve``, and
+    ``certify`` when asked), runs under ``budget`` when one is given,
+    and returns a :class:`~repro.robust.report.RunReport` on the
+    solution (``report`` when one is passed in, a fresh one otherwise).
+
     With ``robust=True`` the pipeline degrades instead of dying: levels
-    whose lumping fails are skipped (identity partition), the solve walks
-    a fallback chain starting at ``method`` (see
-    :func:`repro.robust.fallback.solve_with_fallback`), everything runs
-    under ``budget`` when one is given, and the returned solution carries
-    a :class:`~repro.robust.report.RunReport` describing what degraded
-    and why.
+    whose lumping fails are skipped (identity partition) and the solve
+    walks a fallback chain starting at ``method`` (see
+    :func:`repro.robust.fallback.solve_with_fallback`); the report says
+    what degraded and why.  Without it, a lumping or solver failure
+    raises.
 
     With ``checkpoint_dir`` set, the refinement and solver loops write
     crash-safe snapshots there (see :mod:`repro.robust.checkpoint`); with
     ``resume=True`` a rerun continues from the latest valid snapshots
     instead of restarting, falling back to a fresh start (recorded in the
-    report, when robust) on any corrupt or stale snapshot.
-    ``checkpoint_interval`` overrides the snapshot cadence (cooperative
-    iterations between periodic saves) and ``checkpoint_keep_last``
-    garbage-collects all but the newest K snapshots per loop sequence.
+    report) on any corrupt or stale snapshot.
 
     With ``supervised=True`` (implies robust) the whole pipeline runs in
     a watchdog-supervised child process that is restarted from the
@@ -232,225 +194,176 @@ def lump_and_solve(
             f"levels={lumping.original.md.level_sizes}; requested: "
             f"kind={kind!r} levels={model.md.level_sizes})"
         )
-    if supervised:
-        return _lump_and_solve_supervised(
+    robust = robust or supervised
+    fingerprint = (
+        f"lump_and_solve kind={kind} method={method} key={key} "
+        f"iterate={iterate} levels={tuple(model.md.level_sizes)} "
+        f"n={model.num_states()}"
+    )
+
+    def attempt(ctx: AttemptContext) -> LumpedSolution:
+        return _lump_solve_stages(
             model,
+            ctx,
+            robust=robust,
             kind=kind,
             method=method,
             iterate=iterate,
             key=key,
-            budget=budget,
-            solver_chain=solver_chain,
-            report=report,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            config=supervisor,
             certify=certify,
             certificate_tol=certificate_tol,
+            lumping=lumping,
+            x0=x0,
         )
-    if not robust:
-        ck = _make_checkpointer(
-            checkpoint_dir, resume, model, kind, method, key, iterate, None
-        )
-        solve_method = method
-        certificate = None
-        with (ck if ck is not None else nullcontext()):
-            if lumping is not None:
-                result = lumping
-            else:
-                result = compositional_lump(
-                    model, kind=kind, key=key, iterate=iterate
-                )
-            lumped_ctmc = result.lumped.flat_ctmc()
-            if not lumped_ctmc.is_irreducible():
-                raise LumpingError(
-                    "the lumped chain is not irreducible; restrict the "
-                    "model to a single recurrent class before solving"
-                )
-            solver_kwargs = {}
-            if x0 is not None:
-                from repro.robust.fallback import ITERATIVE_METHODS
 
-                if method in ITERATIVE_METHODS:
-                    solver_kwargs["x0"] = x0
-            stationary = steady_state(
-                lumped_ctmc, method=method, **solver_kwargs
-            ).distribution
-            if certify:
-                from repro.robust.certify import certify_with_escalation
-                from repro.robust.fallback import DEFAULT_SOLVER_CHAIN
-
-                chain = [method] + [
-                    m for m in DEFAULT_SOLVER_CHAIN if m != method
-                ]
-                certified = certify_with_escalation(
-                    stationary,
-                    lumped_ctmc,
-                    method=method,
-                    kind=kind,
-                    lumping=result,
-                    original=model,
-                    chain=chain,
-                    tol=certificate_tol,
-                )
-                stationary = certified.stationary
-                solve_method = certified.method
-                certificate = certified.certificate
-        return LumpedSolution(
-            lumping=result,
-            stationary=stationary,
-            solve_method=solve_method,
-            certificate=certificate,
-        )
-    return _lump_and_solve_robust(
-        model,
-        kind=kind,
-        method=method,
-        iterate=iterate,
-        key=key,
+    return _run_pipeline(
+        attempt,
+        fingerprint,
+        robust=robust,
+        supervised=supervised,
+        supervisor=supervisor,
         budget=budget,
-        solver_chain=solver_chain,
         report=report,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_keep_last=checkpoint_keep_last,
-        certify=certify,
-        certificate_tol=certificate_tol,
-        lumping=lumping,
-        x0=x0,
     )
 
 
-def _lump_and_solve_supervised(
-    model: MDModel,
-    kind: str,
-    method: str,
-    iterate: bool,
-    key: str,
-    budget: Optional[Budget],
-    solver_chain: Optional[Sequence[str]],
-    report: Optional[RunReport],
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    config=None,
-    certify: bool = False,
-    certificate_tol: Optional[float] = None,
-) -> LumpedSolution:
-    """The supervised variant: robust pipeline in a watched child."""
-    from repro.robust.supervisor import run_supervised
-
-    def _attempt(ctx) -> LumpedSolution:
-        level = ctx.degradation
-        chain = (
-            level.solver_chain if level.solver_chain is not None
-            else solver_chain
-        )
-        return _lump_and_solve_robust(
-            model,
-            kind=kind,
-            method=method,
-            iterate=iterate,
-            key=key,
-            budget=ctx.budget,
-            solver_chain=chain,
-            report=ctx.report,
-            checkpoint_dir=ctx.checkpoint_dir,
-            resume=ctx.resume,
-            checkpoint_interval=ctx.checkpoint_interval,
-            checkpoint_keep_last=ctx.checkpoint_keep_last,
-            degrade=level.lumping_degrade,
-            certify=certify,
-            certificate_tol=certificate_tol,
-        )
-
-    supervised = run_supervised(
-        _attempt,
-        checkpoint_dir=checkpoint_dir,
-        config=config,
-        budget=budget,
-        report=report,
-        resume=resume,
-    )
-    solution: LumpedSolution = supervised.result
-    solution.report = supervised.report
-    return solution
-
-
-def _lump_and_solve_robust(
-    model: MDModel,
-    kind: str,
-    method: str,
-    iterate: bool,
-    key: str,
-    budget: Optional[Budget],
-    solver_chain: Optional[Sequence[str]],
-    report: Optional[RunReport],
+def _run_pipeline(
+    attempt: Callable[[AttemptContext], Any],
+    fingerprint: str,
+    *,
+    robust: bool,
+    supervised: bool,
+    supervisor=None,
+    budget: Optional[Budget] = None,
+    report: Optional[RunReport] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    checkpoint_keep_last: Optional[int] = None,
-    degrade: bool = True,
+) -> Any:
+    """Run ``attempt(ctx)`` under the context's budget and checkpointer.
+
+    The :class:`~repro.robust.supervisor.AttemptContext` is the run's
+    policy: budget, report, checkpoint directory, resume flag, snapshot
+    cadence and GC window, and the degradation rung (lumping degrade,
+    solver chain).  In process it is built from the arguments — the rung
+    degrades lumping exactly when ``robust`` — and ``attempt`` runs once.
+    With ``supervised=True`` the supervisor builds one context per child
+    attempt (see :func:`repro.robust.supervisor.run_supervised`) and the
+    merged report replaces the result's ``report``.  ``fingerprint`` ties
+    the checkpoint directory to the configuration, so snapshots of a
+    different model or method are treated as stale in their entirety.
+    """
+
+    # Imported here so that ``import repro`` keeps the supervision
+    # modules lazy (see repro.robust).
+    from repro.robust.retry import DegradationLevel
+    from repro.robust.supervisor import AttemptContext, run_supervised
+
+    def scoped(ctx: AttemptContext) -> Any:
+        ck = None
+        if ctx.checkpoint_dir is not None:
+            ck = Checkpointer(
+                ctx.checkpoint_dir,
+                resume=ctx.resume,
+                fingerprint=fingerprint,
+                report=ctx.report,
+                keep_last=ctx.checkpoint_keep_last,
+                **(
+                    {"interval_iterations": ctx.checkpoint_interval}
+                    if ctx.checkpoint_interval is not None
+                    else {}
+                ),
+            )
+        scope = ctx.budget if ctx.budget is not None else nullcontext()
+        with scope, (ck if ck is not None else nullcontext()):
+            result = attempt(ctx)
+        ctx.report.attach_budget(ctx.budget)
+        return result
+
+    if not supervised:
+        return scoped(
+            AttemptContext(
+                attempt_index=0,
+                degradation_index=0,
+                degradation=DegradationLevel(
+                    name="in-process", lumping_degrade=robust
+                ),
+                checkpoint_dir=checkpoint_dir,
+                resume=resume,
+                budget=budget,
+                report=report if report is not None else RunReport(),
+            )
+        )
+    outcome = run_supervised(
+        scoped,
+        checkpoint_dir=checkpoint_dir,
+        config=supervisor,
+        budget=budget,
+        report=report,
+        resume=resume,
+    )
+    outcome.result.report = outcome.report
+    return outcome.result
+
+
+def _lump_solve_stages(
+    model: MDModel,
+    ctx: AttemptContext,
+    *,
+    robust: bool,
+    kind: str = "ordinary",
+    method: str = "direct",
+    iterate: bool = False,
+    key: str = "formal",
     certify: bool = False,
     certificate_tol: Optional[float] = None,
     lumping: Optional[CompositionalLumpingResult] = None,
     x0: Optional[np.ndarray] = None,
 ) -> LumpedSolution:
-    """The degrading variant of :func:`lump_and_solve`.
+    """The lumping, solve and certify stages of one pipeline run.
 
-    ``degrade=False`` (used by the supervisor's strict baseline rungs)
-    keeps the fallback chain and reporting but makes per-level lumping
-    failures fatal to the attempt instead of skipping the level.
+    Runs inside :func:`_run_pipeline`'s scope and records into
+    ``ctx.report``; the ``lumping`` and ``solve`` stages checkpoint
+    under those scope labels.  Lumping degrades per level when the
+    rung says so.  Only the solve branches on ``robust``: the plain
+    path calls ``steady_state`` for ``method`` and raises on failure,
+    the robust path walks the rung's solver chain (default: ``method``,
+    then the remaining :data:`~repro.robust.fallback.DEFAULT_SOLVER_CHAIN`)
+    and records every attempt, the fallback taken and the solver's note.
     """
-    from repro.robust.fallback import (
-        DEFAULT_SOLVER_CHAIN,
-        solve_with_fallback,
-    )
-
-    if report is None:
-        report = RunReport()
-    if solver_chain is None:
-        # Start at the requested method, then the remaining defaults.
-        solver_chain = [method] + [
-            m for m in DEFAULT_SOLVER_CHAIN if m != method
-        ]
-    ck = _make_checkpointer(
-        checkpoint_dir, resume, model, kind, method, key, iterate, report,
-        checkpoint_interval, checkpoint_keep_last,
-    )
-    scope = budget if budget is not None else nullcontext()
-    with scope, (ck if ck is not None else nullcontext()):
-        with report.stage("lumping") as stage:
-            if lumping is not None:
-                result = lumping
-                stage.detail = "reused precomputed partition"
-            else:
-                result = compositional_lump(
-                    model, kind=kind, key=key, iterate=iterate,
-                    degrade=degrade, report=report,
-                )
-            if result.skipped_levels:
-                stage.status = "degraded"
-                stage.detail = (
-                    f"{len(result.skipped_levels)} level(s) kept the "
-                    "identity partition"
-                )
-        with report.stage("solve") as stage:
-            lumped_ctmc = result.lumped.flat_ctmc()
-            if not lumped_ctmc.is_irreducible():
-                raise LumpingError(
-                    "the lumped chain is not irreducible; restrict the "
-                    "model to a single recurrent class before solving"
-                )
-            from repro.robust.fallback import ITERATIVE_METHODS
-
-            per_method = (
-                {m: {"x0": x0} for m in ITERATIVE_METHODS}
-                if x0 is not None
-                else None
+    report = ctx.report
+    chain = ctx.degradation.solver_chain
+    if chain is None:
+        chain = [method] + [m for m in DEFAULT_SOLVER_CHAIN if m != method]
+    with report.stage("lumping") as stage, checkpoint_scoped("lumping"):
+        if lumping is not None:
+            result = lumping
+            stage.detail = "reused precomputed partition"
+        else:
+            result = compositional_lump(
+                model, kind=kind, key=key, iterate=iterate,
+                degrade=ctx.degradation.lumping_degrade, report=report,
             )
-            solution = solve_with_fallback(
-                lumped_ctmc, chain=solver_chain, per_method=per_method
+        if result.skipped_levels:
+            stage.status = "degraded"
+            stage.detail = (
+                f"{len(result.skipped_levels)} level(s) kept the "
+                "identity partition"
+            )
+    with report.stage("solve") as stage, checkpoint_scoped("solve"):
+        lumped_ctmc = result.lumped.flat_ctmc()
+        if not lumped_ctmc.is_irreducible():
+            raise LumpingError(
+                "the lumped chain is not irreducible; restrict the "
+                "model to a single recurrent class before solving"
+            )
+        warm = {} if x0 is None else {"x0": x0}
+        if robust:
+            solution = fallback.solve_with_fallback(
+                lumped_ctmc,
+                chain=chain,
+                per_method={m: warm for m in ITERATIVE_METHODS},
             )
             for attempt in solution.attempts:
                 report.record_attempt(
@@ -479,37 +392,41 @@ def _lump_and_solve_robust(
                     )
                     or "earlier attempts failed",
                 )
-        if solution.result.note:
-            report.note(
-                f"solver note ({solution.method}): {solution.result.note}"
+            solved = solution.result
+        else:
+            solved = steady_state(
+                lumped_ctmc,
+                method=method,
+                **(warm if method in ITERATIVE_METHODS else {}),
             )
-        stationary = solution.distribution
-        solve_method = solution.method
-        certificate = None
-        if certify:
-            from repro.robust.certify import certify_with_escalation
+    if solved.note:
+        report.note(f"solver note ({solved.method}): {solved.note}")
+    stationary = solved.distribution
+    solve_method = solved.method
+    certificate = None
+    if certify:
+        from repro.robust.certify import certify_with_escalation
 
-            with report.stage("certify") as stage:
-                certified = certify_with_escalation(
-                    stationary,
-                    lumped_ctmc,
-                    method=solution.method,
-                    kind=kind,
-                    lumping=result,
-                    original=model,
-                    chain=solver_chain,
-                    report=report,
-                    tol=certificate_tol,
+        with report.stage("certify") as stage:
+            certified = certify_with_escalation(
+                stationary,
+                lumped_ctmc,
+                method=solve_method,
+                kind=kind,
+                lumping=result,
+                original=model,
+                chain=chain,
+                report=report,
+                tol=certificate_tol,
+            )
+            stationary = certified.stationary
+            solve_method = certified.method
+            certificate = certified.certificate
+            if certified.escalated:
+                stage.status = "degraded"
+                stage.detail = "escalated: " + ", ".join(
+                    certified.escalations
                 )
-                stationary = certified.stationary
-                solve_method = certified.method
-                certificate = certified.certificate
-                if certified.escalated:
-                    stage.status = "degraded"
-                    stage.detail = "escalated: " + ", ".join(
-                        certified.escalations
-                    )
-    report.attach_budget(budget)
     return LumpedSolution(
         lumping=result,
         stationary=stationary,

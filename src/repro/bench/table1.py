@@ -21,12 +21,12 @@ recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis import _lump_solve_stages, _run_pipeline
 from repro.lumping import compositional_lump
 from repro.matrixdiagram import md_stats
 from repro.models import TandemParams, build_tandem, tandem_md_model
@@ -76,24 +76,15 @@ def run_table1_row(
         params = TandemParams(jobs=jobs)
     elif params.jobs != jobs:
         raise ValueError("params.jobs disagrees with the jobs argument")
+    engines = {"bfs": reachable_bfs, "mdd": reachable_mdd}
+    if reach_engine not in engines:
+        raise ValueError(f"unknown reach engine {reach_engine!r}")
     watch = Stopwatch()
     with watch.phase("generation"):
         compiled = build_tandem(params)
-        if reach_engine == "bfs":
-            reach = reachable_bfs(compiled.event_model)
-        elif reach_engine == "mdd":
-            reach = reachable_mdd(compiled.event_model)
-        else:
-            raise ValueError(f"unknown reach engine {reach_engine!r}")
-        event_model = projected_event_model(compiled, reach)
-        if event_model.level_sizes() != compiled.event_model.level_sizes():
-            # The projection shrank some level; recompute the reachable set
-            # in the projected coordinates (labels are preserved, so the
-            # result is the same set).
-            reach = reachable_bfs(event_model)
-        else:
-            reach.model = event_model
-        model = tandem_md_model(event_model, params, reachable=reach)
+        model, reach = _tandem_model(
+            compiled, engines[reach_engine](compiled.event_model), params
+        )
     unlumped_stats = md_stats(model.md)
 
     with watch.phase("lumping"):
@@ -112,6 +103,24 @@ def run_table1_row(
         lump_seconds=watch.elapsed("lumping"),
         lumped_md_memory_bytes=lumped_stats.memory_bytes,
     )
+
+
+def _tandem_model(compiled, reach, params: TandemParams):
+    """The tandem MD model over a reachable set, and that set.
+
+    Projects the event model onto the reachable substates; when the
+    projection shrank a level, the set is re-derived by BFS in the
+    projected coordinates (labels are preserved, so it is the same set).
+    Its own checkpoint scope keeps that BFS from aliasing the first
+    one's snapshots.
+    """
+    event_model = projected_event_model(compiled, reach)
+    if event_model.level_sizes() != compiled.event_model.level_sizes():
+        with checkpoint_scoped("projected"):
+            reach = reachable_bfs(event_model)
+    else:
+        reach.model = event_model
+    return tandem_md_model(event_model, params, reachable=reach), reach
 
 
 def run_table1_row_symbolic(
@@ -202,14 +211,10 @@ def run_table1_row_robust(
     params: Optional[TandemParams] = None,
     engines: Sequence[str] = ("mdd", "bfs"),
     kind: str = "ordinary",
-    solver_chain: Optional[Sequence[str]] = None,
     budget: Optional[Budget] = None,
     report: Optional[RunReport] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    checkpoint_keep_last: Optional[int] = None,
-    lumping_degrade: bool = True,
     supervised: bool = False,
     supervisor=None,
 ) -> RobustTable1Run:
@@ -217,16 +222,16 @@ def run_table1_row_robust(
 
     Runs generation -> lumping -> steady-state solve end to end:
     reachability falls back across ``engines`` (default MDD -> BFS),
-    lumping skips levels that fail (identity partition; disable with
-    ``lumping_degrade=False``), and the solve walks the solver fallback
-    chain.  Every degradation is recorded in the returned report, so the
-    driver can print what degraded and why.
+    then the lumping and solve stages of
+    :func:`~repro.analysis.lump_and_solve` with ``robust=True`` run on
+    the generated model — lumping skips levels that fail (identity
+    partition) and the solve walks the solver fallback chain.  Every
+    degradation is recorded in the returned report, so the driver can
+    print what degraded and why.
 
     With ``checkpoint_dir`` set, the reachability/refinement/solver loops
     write crash-safe snapshots (see :mod:`repro.robust.checkpoint`);
-    ``resume=True`` continues a killed or budget-stopped run from them,
-    ``checkpoint_interval`` overrides the snapshot cadence, and
-    ``checkpoint_keep_last`` garbage-collects old snapshots.
+    ``resume=True`` continues a killed or budget-stopped run from them.
 
     With ``supervised=True`` the whole pipeline runs in a
     watchdog-supervised child process, restarted from the latest
@@ -234,52 +239,15 @@ def run_table1_row_robust(
     :mod:`repro.robust.supervisor`.  ``supervisor`` is an optional
     :class:`~repro.robust.supervisor.SupervisorConfig`.
     """
-    if supervised:
-        return _run_table1_row_supervised(
-            jobs,
-            params=params,
-            engines=engines,
-            kind=kind,
-            solver_chain=solver_chain,
-            budget=budget,
-            report=report,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            config=supervisor,
-        )
-    from repro.robust.fallback import (
-        DEFAULT_SOLVER_CHAIN,
-        reachable_with_fallback,
-        solve_with_fallback,
-    )
+    from repro.robust.fallback import reachable_with_fallback
 
     if params is None:
         params = TandemParams(jobs=jobs)
     elif params.jobs != jobs:
         raise ValueError("params.jobs disagrees with the jobs argument")
-    if report is None:
-        report = RunReport()
-    if solver_chain is None:
-        solver_chain = DEFAULT_SOLVER_CHAIN
-    ck = None
-    if checkpoint_dir is not None:
-        from repro.robust.checkpoint import Checkpointer
 
-        ck_kwargs = {}
-        if checkpoint_interval is not None:
-            ck_kwargs["interval_iterations"] = checkpoint_interval
-        ck = Checkpointer(
-            checkpoint_dir,
-            resume=resume,
-            fingerprint=(
-                f"table1 jobs={jobs} kind={kind} params={params}"
-            ),
-            report=report,
-            keep_last=checkpoint_keep_last,
-            **ck_kwargs,
-        )
-    scope = budget if budget is not None else nullcontext()
-    with scope, (ck if ck is not None else nullcontext()):
+    def run_row(ctx) -> RobustTable1Run:
+        report = ctx.report
         with report.stage("generation") as stage, checkpoint_scoped(
             "generation"
         ):
@@ -307,132 +275,42 @@ def run_table1_row_robust(
                     )
                     or "earlier engines failed",
                 )
-            reach = engine_run.result
-            event_model = projected_event_model(compiled, reach)
-            if (
-                event_model.level_sizes()
-                != compiled.event_model.level_sizes()
-            ):
-                # Same recomputation as run_table1_row: the projection
-                # shrank a level, so re-derive the set in the projected
-                # coordinates (BFS is always available here).  Its own
-                # checkpoint scope keeps it from ever aliasing the first
-                # BFS's snapshots.
-                with checkpoint_scoped("projected"):
-                    reach = reachable_bfs(event_model)
-            else:
-                reach.model = event_model
-            model = tandem_md_model(event_model, params, reachable=reach)
+            model, reach = _tandem_model(compiled, engine_run.result, params)
         unlumped_stats = md_stats(model.md)
-
-        with report.stage("lumping") as stage, checkpoint_scoped("lumping"):
-            result = compositional_lump(
-                model, kind, degrade=lumping_degrade, report=report
-            )
-            if result.skipped_levels:
-                stage.status = "degraded"
-                stage.detail = (
-                    f"{len(result.skipped_levels)} level(s) kept the "
-                    "identity partition"
-                )
+        solution = _lump_solve_stages(model, ctx, robust=True, kind=kind)
+        result = solution.lumping
         lumped_stats = md_stats(result.lumped.md)
-
-        with report.stage("solve") as stage, checkpoint_scoped("solve"):
-            lumped_ctmc = result.lumped.flat_ctmc()
-            solution = solve_with_fallback(lumped_ctmc, chain=solver_chain)
-            for attempt in solution.attempts:
-                report.record_attempt(
-                    stage="solve",
-                    name=attempt.method,
-                    succeeded=attempt.succeeded,
-                    seconds=attempt.seconds,
-                    error=attempt.error,
-                    iterations=attempt.iterations,
-                    residual=attempt.residual,
-                )
-            if solution.degraded:
-                stage.status = "degraded"
-                stage.detail = f"solved by {solution.method!r}"
-                report.record_fallback(
-                    stage="solve",
-                    requested=solution.requested_method,
-                    used=solution.method,
-                    reason="; ".join(
-                        a.error for a in solution.attempts if a.error
-                    )
-                    or "earlier attempts failed",
-                )
-    report.attach_budget(budget)
-
-    row = Table1Row(
-        jobs=jobs,
-        unlumped_overall=reach.num_states,
-        unlumped_level_sizes=list(reach.level_sizes()),
-        md_nodes_per_level=list(unlumped_stats.nodes_per_level),
-        lumped_overall=len(result.lumped.reachable),
-        lumped_level_sizes=list(result.lumped.md.level_sizes),
-        generation_seconds=report.stage_seconds("generation"),
-        md_memory_bytes=unlumped_stats.memory_bytes,
-        lump_seconds=report.stage_seconds("lumping"),
-        lumped_md_memory_bytes=lumped_stats.memory_bytes,
-    )
-    return RobustTable1Run(
-        row=row,
-        report=report,
-        stationary=solution.distribution,
-        solve_method=solution.method,
-        reach_engine=engine_run.engine,
-    )
-
-
-def _run_table1_row_supervised(
-    jobs: int,
-    params: Optional[TandemParams],
-    engines: Sequence[str],
-    kind: str,
-    solver_chain: Optional[Sequence[str]],
-    budget: Optional[Budget],
-    report: Optional[RunReport],
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    config=None,
-) -> RobustTable1Run:
-    """The supervised variant: the robust Table-1 pipeline in a watched
-    child process (see :mod:`repro.robust.supervisor`)."""
-    from repro.robust.supervisor import run_supervised
-
-    def _attempt(ctx) -> RobustTable1Run:
-        level = ctx.degradation
-        chain = (
-            level.solver_chain if level.solver_chain is not None
-            else solver_chain
+        row = Table1Row(
+            jobs=jobs,
+            unlumped_overall=reach.num_states,
+            unlumped_level_sizes=list(reach.level_sizes()),
+            md_nodes_per_level=list(unlumped_stats.nodes_per_level),
+            lumped_overall=len(result.lumped.reachable),
+            lumped_level_sizes=list(result.lumped.md.level_sizes),
+            generation_seconds=report.stage_seconds("generation"),
+            md_memory_bytes=unlumped_stats.memory_bytes,
+            lump_seconds=report.stage_seconds("lumping"),
+            lumped_md_memory_bytes=lumped_stats.memory_bytes,
         )
-        return run_table1_row_robust(
-            jobs,
-            params=params,
-            engines=engines,
-            kind=kind,
-            solver_chain=chain,
-            budget=ctx.budget,
-            report=ctx.report,
-            checkpoint_dir=ctx.checkpoint_dir,
-            resume=ctx.resume,
-            checkpoint_interval=ctx.checkpoint_interval,
-            checkpoint_keep_last=ctx.checkpoint_keep_last,
-            lumping_degrade=level.lumping_degrade,
+        return RobustTable1Run(
+            row=row,
+            report=report,
+            stationary=solution.stationary,
+            solve_method=solution.solve_method,
+            reach_engine=engine_run.engine,
         )
 
-    supervised = run_supervised(
-        _attempt,
-        checkpoint_dir=checkpoint_dir,
-        config=config,
+    return _run_pipeline(
+        run_row,
+        f"table1 jobs={jobs} kind={kind} params={params}",
+        robust=True,
+        supervised=supervised,
+        supervisor=supervisor,
         budget=budget,
         report=report,
+        checkpoint_dir=checkpoint_dir,
         resume=resume,
     )
-    run: RobustTable1Run = supervised.result
-    run.report = supervised.report
-    return run
 
 
 def render_table1(rows: List[Table1Row]) -> str:

@@ -1,8 +1,9 @@
 """Structured run reports: what ran, what degraded, and why.
 
-A :class:`RunReport` is threaded through the robust pipeline entry points
-(:func:`repro.analysis.lump_and_solve` with ``robust=True`` and
-:func:`repro.bench.table1.run_table1_row_robust`).  Every stage records
+A :class:`RunReport` is threaded through the one lumping-and-solve
+pipeline that :func:`repro.analysis.lump_and_solve` (plain or robust)
+and :func:`repro.bench.table1.run_table1_row_robust` both run; every
+solution carries one.  Every stage records
 its wall-clock time and status; every fallback taken (solver rung, engine
 switch, skipped lumping level) records what was requested, what actually
 ran, and the triggering error — so a production operator can tell a clean

@@ -143,22 +143,26 @@ class SupervisorConfig:
 
 @dataclass
 class AttemptContext:
-    """What one supervised attempt gets to work with.
+    """What one pipeline attempt gets to work with: its policy.
 
     The ``target`` callable receives this: it should run the pipeline
-    under ``budget`` (the robust entry points enter the budget
-    themselves), checkpoint into ``checkpoint_dir`` honouring
+    under ``budget``, checkpoint into ``checkpoint_dir`` honouring
     ``checkpoint_interval``/``checkpoint_keep_last``, resume when
     ``resume`` is set, record into ``report``, and apply the
     ``degradation`` rung's knobs (lumping degrade, solver chain).
+    :func:`repro.analysis.lump_and_solve` and
+    :func:`repro.bench.table1.run_table1_row_robust` read all of it in
+    one body, which enters the budget and the checkpointer itself; run
+    in process, they build one context from their own arguments, with
+    no checkpoint directory or budget when none was given.
     """
 
     attempt_index: int
     degradation_index: int
     degradation: DegradationLevel
-    checkpoint_dir: str
+    checkpoint_dir: Optional[str]
     resume: bool
-    budget: Budget
+    budget: Optional[Budget]
     report: RunReport
     checkpoint_interval: Optional[int] = None
     checkpoint_keep_last: Optional[int] = None

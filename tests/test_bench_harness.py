@@ -43,6 +43,14 @@ class TestRow:
         with pytest.raises(ValueError):
             run_table1_row(1, small_params(), reach_engine="psychic")
 
+    def test_unknown_engine_rejected_before_compiling(self, monkeypatch):
+        def no_build(params):
+            raise AssertionError("the SAN was compiled")
+
+        monkeypatch.setattr("repro.bench.table1.build_tandem", no_build)
+        with pytest.raises(ValueError, match="nope"):
+            run_table1_row(1, small_params(), reach_engine="nope")
+
     def test_exact_kind_runs(self):
         exact_row = run_table1_row(1, small_params(), kind="exact")
         assert exact_row.lumped_overall <= exact_row.unlumped_overall

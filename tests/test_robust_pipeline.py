@@ -194,3 +194,57 @@ def test_clean_pipeline_report_is_clean(clean_run):
     assert all(s.status == "ok" for s in clean_run.report.stages)
     rendered = clean_run.report.render()
     assert "clean" in rendered
+
+
+# ----------------------------------------------------------------------
+# one pipeline: the plain path honours its arguments, and the Table-1
+# row solves exactly like lump_and_solve
+# ----------------------------------------------------------------------
+
+#: Direct down, and every iterative rung fails once at the requested
+#: tolerance: only the relaxed-tolerance round can answer.
+RELAXED_ONLY = (
+    "solver.direct,solver.gauss-seidel:1,solver.jacobi:1,solver.power:1"
+)
+
+
+def test_plain_lump_and_solve_honours_budget(small_tandem):
+    with pytest.raises(BudgetExceeded):
+        lump_and_solve(
+            small_tandem["model"], budget=Budget(max_iterations=1)
+        )
+
+
+def test_plain_lump_and_solve_records_into_the_given_report(small_tandem):
+    report = RunReport()
+    solution = lump_and_solve(small_tandem["model"], report=report)
+    assert solution.report is report
+    assert [s.name for s in report.stages] == ["lumping", "solve"]
+    assert not report.degraded
+
+
+def test_table1_row_records_relaxed_tolerance_and_solver_note(
+    tandem_params,
+):
+    with inject_faults(RELAXED_ONLY):
+        run = run_table1_row_robust(1, tandem_params, engines=("bfs",))
+    [fallback] = run.report.fallbacks_for("solve")
+    assert "tol relaxed" in fallback.used
+    assert any(
+        note.startswith(f"solver note ({run.solve_method})")
+        for note in run.report.notes
+    )
+
+
+def test_table1_row_solves_like_lump_and_solve(tandem_params, clean_run):
+    from repro.bench.table1 import _tandem_model
+    from repro.models import build_tandem
+    from repro.statespace import reachable_bfs
+
+    compiled = build_tandem(tandem_params)
+    model, _ = _tandem_model(
+        compiled, reachable_bfs(compiled.event_model), tandem_params
+    )
+    solution = lump_and_solve(model, robust=True)
+    assert np.array_equal(clean_run.stationary, solution.stationary)
+    assert clean_run.solve_method == solution.solve_method
