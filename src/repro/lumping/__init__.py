@@ -5,8 +5,9 @@
   key function ``K``.
 * :mod:`repro.lumping.state_level` — optimal state-level lumping of flat
   CTMCs (the baseline algorithm [9], extended to exact lumpability).
-* :mod:`repro.lumping.keys` — key-function factories: flat-matrix sums and
-  MD-node formal-sum signatures (plus the concrete-matrix ablation variant).
+* :mod:`repro.lumping.keys` — key-function factories: flat-matrix sums, the
+  class-sum kernel ``class_sum_keys`` behind every MD-node formal-sum
+  signature, and the concrete-matrix ablation variant.
 * :mod:`repro.lumping.md_model` — MDs with decomposable rewards and initial
   distributions (the MRP structure of Section 3).
 * :mod:`repro.lumping.local` — ``CompLumpingLevel`` (Figure 3a).

@@ -11,28 +11,34 @@ Flat variants (state-level lumping, baseline [9]):
 * exact: ``K(R, s, C) = R(C, s)`` — cumulative rate from the splitter
   class into ``s``.
 
-MD-node variants (the paper's contribution): ``K`` returns the *formal
+MD-node variant (the paper's contribution): ``K`` returns the *formal
 sum* ``sum_{n3} r(s2, C2) . R_n3`` represented as a set of
 ``(coefficient, node index)`` pairs, so the algorithm runs on nodes of size
-``|S2| x |S2|`` instead of matrices of size ``|S3| x |S3|``.
+``|S2| x |S2|`` instead of matrices of size ``|S3| x |S3|``.  One kernel,
+:func:`class_sum_keys`, computes that key for a node and a class labeling;
+the refinement splitter (:func:`md_node_splitter`), the exact initial
+partition (:mod:`repro.lumping.local`) and the sweep's partition-reuse
+proof (:mod:`repro.sweep.reuse`) all call it, so they agree on what
+"equal key" means.  ``transpose`` selects exact lumping's column sums.
 
-The concrete-matrix variants (``md_node_*_matrix_splitter``) realize the
+The concrete-matrix variant (:func:`md_node_matrix_splitter`) realizes the
 "first obvious way" the paper describes and rejects as prohibitively
-expensive; they exist for the ablation benchmark and as a correctness
-oracle (they are sufficient *and* necessary on the node's represented
+expensive; it exists for the ablation benchmark and as a correctness
+oracle (it is sufficient *and* necessary on the node's represented
 matrices).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+import math
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.lumping.refinement import SplitterFactory
 from repro.matrixdiagram.md import MatrixDiagram
-from repro.matrixdiagram.node import MDNode
+from repro.matrixdiagram.node import Entry, MDNode
 from repro.matrixdiagram.operations import flatten_node
 from repro.util.numeric import quantize
 
@@ -96,107 +102,109 @@ def flat_exact_splitter(rate_matrix: sparse.spmatrix) -> SplitterFactory:
 
 
 # ----------------------------------------------------------------------
-# MD nodes: formal-sum signatures (the paper's local K)
+# MD nodes: class sums (the paper's local K)
 # ----------------------------------------------------------------------
 
 
-def _node_row_index(node: MDNode) -> Dict[int, List[Tuple[int, object]]]:
-    """row -> list of (col, entry)."""
-    by_row: Dict[int, List[Tuple[int, object]]] = {}
-    for r, c, entry in node.entries():
-        by_row.setdefault(r, []).append((c, entry))
-    return by_row
+def class_sum_keys(
+    node: MDNode,
+    entries: Iterable[Tuple[int, int, Entry]],
+    class_of: Mapping[int, int],
+    transpose: bool = False,
+) -> Dict[int, Dict[int, Hashable]]:
+    """``K(R_n, s, C)`` of Definition 3 for every state ``s`` the given
+    entries touch and every class ``C`` they reach, as
+    ``{state: {class: key}}``.
+
+    Each ``(row, col, entry)`` of ``entries`` adds into the sum of its
+    row over the class ``class_of[col]``; with ``transpose`` into the
+    sum of its column over ``class_of[row]`` (exact lumping's
+    ``R_n(C, s)``).  The key is ``quantize(total)`` on a terminal node
+    and, on an inner node, the sorted quantized ``(child, coefficient)``
+    signature of the formal sum — the :attr:`FormalSum.signature` of
+    ``row_sum_over`` / ``col_sum_over``, computed without building any
+    :class:`FormalSum`.  Classes whose sum is zero are left out, so a
+    cancelling class compares equal to one the state has no entries
+    in; a state whose sums all vanish maps to ``{}``.
+
+    ``quantize`` keeps nine significant digits, so a float sum taken in
+    another order can flip a key at a rounding boundary.  ``entries``
+    must therefore be ``node.entries()`` or a subsequence of it in that
+    order: every state's terms are then added in entry order, whoever
+    calls the kernel.
+    """
+    terminal = node.terminal
+    sums: Dict[int, Dict[int, Any]] = {}
+    for row, col, entry in entries:
+        state, other = (col, row) if transpose else (row, col)
+        bucket = sums.get(state)
+        if bucket is None:
+            bucket = sums[state] = {}
+        cls = class_of[other]
+        if terminal:
+            bucket[cls] = bucket.get(cls, 0.0) + entry
+            continue
+        acc = bucket.get(cls)
+        if acc is None:
+            acc = bucket[cls] = {}
+        for child, coefficient in entry.items():
+            acc[child] = acc.get(child, 0.0) + coefficient
+    keys: Dict[int, Dict[int, Hashable]] = {}
+    for state, bucket in sums.items():
+        state_keys: Dict[int, Hashable] = {}
+        for cls, total in bucket.items():
+            if terminal:
+                if total != 0.0:
+                    state_keys[cls] = quantize(total)
+                continue
+            signature = tuple(
+                sorted(
+                    (child, quantize(v))
+                    for child, v in total.items()
+                    if v != 0.0
+                )
+            )
+            if signature:
+                state_keys[cls] = signature
+        keys[state] = state_keys
+    return keys
 
 
-def _node_col_index(node: MDNode) -> Dict[int, List[Tuple[int, object]]]:
-    """col -> list of (row, entry)."""
-    by_col: Dict[int, List[Tuple[int, object]]] = {}
-    for r, c, entry in node.entries():
-        by_col.setdefault(c, []).append((r, entry))
-    return by_col
-
-
-def md_node_ordinary_splitter(node: MDNode) -> SplitterFactory:
-    """``K(R_n2, s2, C2) = {(r(s2, C2), n3)}`` — the formal sum of row
-    ``s2`` over the splitter class, as a signature of quantized
-    ``(node, coefficient)`` pairs (zero-coefficient terms dropped)."""
-    by_row = _node_row_index(node)
-    by_col = _node_col_index(node)
+def md_node_splitter(node: MDNode, transpose: bool = False) -> SplitterFactory:
+    """``K(R_n, s, C) = {(r(s, C), n')}`` — the formal sum of row ``s``
+    over the splitter class as a quantized signature (Eq. (12)); with
+    ``transpose`` the column sum ``r(C, s)`` that exact lumping needs
+    (Eq. (5) of Definition 3).  States without entries in ``C`` keep
+    the zero key (``0.0`` / ``()``)."""
+    entries = list(node.entries())
+    # Positions in ``entries`` of every column's entries (every row's
+    # with ``transpose``): a splitter gathers its members' entries and
+    # sorts them back into entry order for the kernel.
+    positions: Dict[int, List[int]] = {}
+    for position, (row, col, _entry) in enumerate(entries):
+        positions.setdefault(row if transpose else col, []).append(position)
+    zero: Hashable = 0.0 if node.terminal else ()
 
     def factory(members: Tuple[int, ...]):
-        member_set = set(members)
-        touched = sorted(
-            {
-                r
-                for col in members
-                for r, _entry in by_col.get(col, ())
-            }
+        gathered = sorted(
+            position
+            for member in members
+            for position in positions.get(member, ())
         )
-        cache: Dict[int, Hashable] = {}
+        sums = {
+            state: keys.get(0, zero)
+            for state, keys in class_sum_keys(
+                node,
+                [entries[position] for position in gathered],
+                dict.fromkeys(members, 0),
+                transpose,
+            ).items()
+        }
 
         def key(state: int) -> Hashable:
-            cached = cache.get(state)
-            if cached is not None:
-                return cached
-            if node.terminal:
-                total = 0.0
-                for col, entry in by_row.get(state, ()):
-                    if col in member_set:
-                        total += entry
-                result: Hashable = quantize(total)
-            else:
-                cols = tuple(
-                    col
-                    for col, _entry in by_row.get(state, ())
-                    if col in member_set
-                )
-                result = node.row_sum_over(state, cols).signature
-            cache[state] = result
-            return result
+            return sums.get(state, zero)
 
-        return key, touched
-
-    return factory
-
-
-def md_node_exact_splitter(node: MDNode) -> SplitterFactory:
-    """``K(R_n2, s2, C2) = {(r(C2, s2), n3)}`` — the transposed variant
-    for exact lumpability (Eq. (5) of Definition 3)."""
-    by_col = _node_col_index(node)
-    by_row = _node_row_index(node)
-
-    def factory(members: Tuple[int, ...]):
-        member_set = set(members)
-        touched = sorted(
-            {
-                c
-                for row in members
-                for c, _entry in by_row.get(row, ())
-            }
-        )
-        cache: Dict[int, Hashable] = {}
-
-        def key(state: int) -> Hashable:
-            cached = cache.get(state)
-            if cached is not None:
-                return cached
-            if node.terminal:
-                total = 0.0
-                for row, entry in by_col.get(state, ()):
-                    if row in member_set:
-                        total += entry
-                result: Hashable = quantize(total)
-            else:
-                rows = tuple(
-                    row
-                    for row, _entry in by_col.get(state, ())
-                    if row in member_set
-                )
-                result = node.col_sum_over(rows, state).signature
-            cache[state] = result
-            return result
-
-        return key, touched
+        return key, list(sums)
 
     return factory
 
@@ -208,13 +216,11 @@ def md_node_exact_splitter(node: MDNode) -> SplitterFactory:
 
 def _matrix_signature(matrix: sparse.spmatrix) -> Tuple:
     coo = matrix.tocoo()
-    return tuple(
-        sorted(
-            (int(r), int(c), quantize(float(v)))
-            for r, c, v in zip(coo.row, coo.col, coo.data)
-            if quantize(float(v)) != 0.0
-        )
+    quantized = (
+        (int(r), int(c), quantize(float(v)))
+        for r, c, v in zip(coo.row, coo.col, coo.data)
     )
+    return tuple(sorted(item for item in quantized if item[2] != 0.0))
 
 
 def _entry_matrix(
@@ -232,66 +238,31 @@ def _entry_matrix(
     return sparse.csr_matrix(total)
 
 
-def md_node_ordinary_matrix_splitter(
+def md_node_matrix_splitter(
     md: MatrixDiagram,
     node: MDNode,
+    transpose: bool = False,
     flat_cache: Optional[Dict[int, sparse.csr_matrix]] = None,
 ) -> SplitterFactory:
-    """``K(R_n2, s2, C2) = bar(R)_n2(s2, C2)`` — the *represented matrix*
-    of the row sum.  Sufficient and necessary on the node level, but
+    """``K(R_n, s, C) = bar(R)_n(s, C)`` — the *represented matrix* of
+    the row sum (of the column sum ``bar(R)_n(C, s)`` with
+    ``transpose``).  Sufficient and necessary on the node level, but
     requires flattening children (the trade-off of Section 4)."""
     if flat_cache is None:
         flat_cache = {}
-    by_row = _node_row_index(node)
-    import math
-
-    dim = (
-        1
-        if node.terminal
-        else math.prod(md.level_sizes[node.level :])
-    )
+    by_state: Dict[int, List[Tuple[int, Entry]]] = {}
+    for row, col, entry in node.entries():
+        state, other = (col, row) if transpose else (row, col)
+        by_state.setdefault(state, []).append((other, entry))
+    dim = 1 if node.terminal else math.prod(md.level_sizes[node.level :])
 
     def factory(members: Tuple[int, ...]):
         member_set = set(members)
 
         def key(state: int) -> Hashable:
             total = sparse.csr_matrix((dim, dim))
-            for col, entry in by_row.get(state, ()):
-                if col in member_set:
-                    total = total + _entry_matrix(
-                        md, entry, node.terminal, flat_cache, dim
-                    )
-            return _matrix_signature(total)
-
-        return key, None
-
-    return factory
-
-
-def md_node_exact_matrix_splitter(
-    md: MatrixDiagram,
-    node: MDNode,
-    flat_cache: Optional[Dict[int, sparse.csr_matrix]] = None,
-) -> SplitterFactory:
-    """Transposed concrete-matrix key for exact lumpability."""
-    if flat_cache is None:
-        flat_cache = {}
-    by_col = _node_col_index(node)
-    import math
-
-    dim = (
-        1
-        if node.terminal
-        else math.prod(md.level_sizes[node.level :])
-    )
-
-    def factory(members: Tuple[int, ...]):
-        member_set = set(members)
-
-        def key(state: int) -> Hashable:
-            total = sparse.csr_matrix((dim, dim))
-            for row, entry in by_col.get(state, ()):
-                if row in member_set:
+            for other, entry in by_state.get(state, ()):
+                if other in member_set:
                     total = total + _entry_matrix(
                         md, entry, node.terminal, flat_cache, dim
                     )

@@ -13,10 +13,9 @@ from typing import Dict, Hashable, Optional
 
 from repro.errors import LumpingError
 from repro.lumping.keys import (
-    md_node_exact_matrix_splitter,
-    md_node_exact_splitter,
-    md_node_ordinary_matrix_splitter,
-    md_node_ordinary_splitter,
+    class_sum_keys,
+    md_node_matrix_splitter,
+    md_node_splitter,
 )
 from repro.lumping.md_model import MDModel
 from repro.lumping.refinement import comp_lumping
@@ -39,25 +38,23 @@ def initial_partition_exact(model: MDModel, level: int) -> Partition:
     """``P_i_ini`` for exact lumping: the coarsest partition with equal
     initial factors ``f_pi,i`` *and* equal coefficient row sums
     ``r_{n_i, n_{i+1}}(s_i, S_i)`` for every node pair — the per-node
-    formal-sum representation of condition (4) of Definition 3."""
+    formal-sum representation of condition (4) of Definition 3.  Each
+    node's full row sums are one class-sum pass with a single class;
+    a zero row sum has no key (``None``)."""
     md = model.md
     initial_factors = model.level_initial[level - 1]
-    nodes = sorted(md.nodes_at(level).items())
     size = md.level_size(level)
-    all_cols = tuple(range(size))
-    row_signatures: Dict[int, tuple] = {}
-    for state in range(size):
-        signature = []
-        for index, node in nodes:
-            entry = node.row_sum_over(state, all_cols)
-            if node.terminal:
-                signature.append((index, quantize(float(entry))))
-            else:
-                signature.append((index, entry.signature))
-        row_signatures[state] = tuple(signature)
+    whole_level = dict.fromkeys(range(size), 0)
+    row_sums = [
+        class_sum_keys(node, node.entries(), whole_level)
+        for _index, node in sorted(md.nodes_at(level).items())
+    ]
 
     def key(state: int) -> Hashable:
-        return (quantize(float(initial_factors[state])), row_signatures[state])
+        return (
+            quantize(float(initial_factors[state])),
+            tuple(sums.get(state, {}).get(0) for sums in row_sums),
+        )
 
     return Partition.from_key(size, key)
 
@@ -105,15 +102,12 @@ def comp_lumping_level(
         )
     nodes = sorted(md.nodes_at(level).items())
     flat_cache: Dict = {}
+    transpose = kind == "exact"
 
     def splitter_for(node):
         if key == "formal":
-            if kind == "ordinary":
-                return md_node_ordinary_splitter(node)
-            return md_node_exact_splitter(node)
-        if kind == "ordinary":
-            return md_node_ordinary_matrix_splitter(md, node, flat_cache)
-        return md_node_exact_matrix_splitter(md, node, flat_cache)
+            return md_node_splitter(node, transpose)
+        return md_node_matrix_splitter(md, node, transpose, flat_cache)
 
     partition = initial.copy()
     rounds = 0

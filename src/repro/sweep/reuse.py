@@ -4,9 +4,9 @@ Rates enter the refinement keys only as formal-sum coefficients, so
 many rate changes — uniform scalings of a site's entries in particular
 — cannot alter the lumping partition.  Instead of *assuming* that, the
 gate re-checks the lumpability conditions of the base partition
-directly on the derived model, with the same quantized formal-sum
-signature comparison the refinement itself uses
-(:mod:`repro.lumping.keys`):
+directly on the derived model.  The class sums come from the
+refinement's own kernel, :func:`repro.lumping.keys.class_sum_keys`, so
+the proof and the refinement agree on what "equal key" means:
 
 * the **initial condition** (Section 4, ``P_i_ini``): rewards constant
   on every class for ordinary lumping; initial factors and full
@@ -45,26 +45,14 @@ from repro.lumping.compositional import (
     apply_partitions,
     compositional_lump,
 )
+from repro.lumping.keys import class_sum_keys
 from repro.lumping.md_model import MDModel
 from repro.partitions import Partition
 from repro.sweep.spec import apply_point
 from repro.robust.report import RunReport
 from repro.util.numeric import quantize
 
-_ZERO_TERMINAL_KEY = quantize(0.0)
-
-
-def _formal_signature(
-    terms: Dict[int, float],
-) -> Tuple[Tuple[int, float], ...]:
-    """The :attr:`FormalSum.signature` of an accumulated coefficient
-    map, computed without constructing the sum (the constructor's
-    re-validation dominated proof time)."""
-    return tuple(
-        sorted(
-            (child, quantize(v)) for child, v in terms.items() if v != 0.0
-        )
-    )
+_NO_KEYS: Mapping[int, Any] = {}
 
 
 def _blocks(partition: Partition) -> List[Tuple[int, ...]]:
@@ -74,74 +62,20 @@ def _blocks(partition: Partition) -> List[Tuple[int, ...]]:
     return [tuple(partition.block(block_id)) for block_id, _ in ordered]
 
 
-def _node_class_keys(
-    node: Any,
-    class_of: Dict[int, int],
-    states: Sequence[int],
-    transpose: bool = False,
-) -> Dict[int, Dict[int, Any]]:
-    """Per-state sparse map ``class_id -> quantized class-sum key``.
-
-    One pass over the node's entries replaces the per-(state, class)
-    ``row_sum_over`` calls, which are quadratic in the number of
-    classes.  Classes whose sum is (quantized) zero are dropped so a
-    cancelling class compares equal to a class the state has no
-    entries in — the same verdict ``row_sum_over`` gives on those
-    member sets.  With ``transpose`` the roles of rows and columns
-    swap (exact lumping's column condition).
-    """
-    terminal = node.terminal
-    raw: Dict[int, Dict[int, Any]] = {state: {} for state in states}
-    for row, col, entry in node.entries():
-        state, other = (col, row) if transpose else (row, col)
-        bucket = raw.get(state)
-        if bucket is None:
-            continue
-        cls = class_of[other]
-        if terminal:
-            bucket[cls] = bucket.get(cls, 0.0) + float(entry)
-        else:
-            acc = bucket.get(cls)
-            if acc is None:
-                acc = {}
-                bucket[cls] = acc
-            for child, coefficient in entry.items():
-                acc[child] = acc.get(child, 0.0) + coefficient
-    keys: Dict[int, Dict[int, Any]] = {}
-    for state, bucket in raw.items():
-        state_keys: Dict[int, Any] = {}
-        for cls, total in bucket.items():
-            if terminal:
-                key = quantize(float(total))
-                if key == _ZERO_TERMINAL_KEY:
-                    continue
-            else:
-                key = _formal_signature(total)
-                if not key:
-                    continue
-            state_keys[cls] = key
-        keys[state] = state_keys
-    return keys
-
-
-def _full_row_keys(node: Any, states: Sequence[int]) -> Dict[int, Any]:
-    """Quantized key of each state's full row sum, in one pass."""
-    terminal = node.terminal
-    raw: Dict[int, Any] = {
-        state: (0.0 if terminal else {}) for state in states
-    }
-    for row, col, entry in node.entries():
-        acc = raw.get(row)
-        if acc is None:
-            continue
-        if terminal:
-            raw[row] = acc + float(entry)
-        else:
-            for child, coefficient in entry.items():
-                acc[child] = acc.get(child, 0.0) + coefficient
-    if terminal:
-        return {state: quantize(float(v)) for state, v in raw.items()}
-    return {state: _formal_signature(v) for state, v in raw.items()}
+def _unstable(
+    keys: Mapping[int, Mapping[int, Any]],
+    blocks: Sequence[Tuple[int, ...]],
+) -> Optional[Tuple[Tuple[int, ...], Mapping[int, Any], Mapping[int, Any]]]:
+    """The first block holding two states with different class-sum
+    keys, as ``(block, head keys, mismatched keys)``; ``None`` if every
+    block is stable."""
+    for block in blocks:
+        head = keys.get(block[0], _NO_KEYS)
+        for state in block[1:]:
+            mismatched = keys.get(state, _NO_KEYS)
+            if mismatched != head:
+                return block, head, mismatched
+    return None
 
 
 def partition_reuse_proof(
@@ -202,11 +136,10 @@ def partition_reuse_proof(
                             f"class {block}"
                         )
         # Stability: every node of the level, against every class C.
-        # Each state's class sums are gathered in a single pass over
-        # the node's entries (sparse, zero classes dropped), so the
-        # check is linear in the node's entry count — comparing the
-        # sparse maps blockwise is the old per-(class, block) loop
-        # without the quadratic blowup in the number of classes.
+        # One class-sum pass per node (the refinement's own kernel)
+        # gathers each state's sparse class sums, so the check is linear
+        # in the node's entry count; the sums are then compared inside
+        # every nontrivial block.
         nontrivial = [b for b in blocks if len(b) >= 2]
         if not nontrivial:
             continue
@@ -222,40 +155,42 @@ def partition_reuse_proof(
         for cls, block in enumerate(blocks):
             for state in block:
                 class_of[state] = cls
-        states = [state for block in nontrivial for state in block]
+        whole_level = dict.fromkeys(class_of, 0)
         for index in scan:
             node = level_nodes[index]
             if kind == "exact":
                 # Exact lumping additionally needs equal full row sums
                 # (condition (4) of Definition 3); per-class equality
                 # of quantized signatures does not imply it.
-                full = _full_row_keys(node, states)
-                for block in nontrivial:
-                    head = full[block[0]]
-                    for state in block[1:]:
-                        if full[state] != head:
-                            return (
-                                f"level {level} node {index}: full row "
-                                f"sums differ inside class {block}"
-                            )
-            keys = _node_class_keys(
-                node, class_of, states, transpose=(kind == "exact")
-            )
-            for block in nontrivial:
-                head = keys[block[0]]
-                for state in block[1:]:
-                    if keys[state] == head:
-                        continue
-                    mismatched = keys[state]
-                    culprit = min(
-                        cls
-                        for cls in set(head) | set(mismatched)
-                        if head.get(cls) != mismatched.get(cls)
-                    )
+                found = _unstable(
+                    class_sum_keys(node, node.entries(), whole_level),
+                    nontrivial,
+                )
+                if found is not None:
                     return (
-                        f"level {level} node {index}: class sums over "
-                        f"{blocks[culprit]} differ inside class {block}"
+                        f"level {level} node {index}: full row "
+                        f"sums differ inside class {found[0]}"
                     )
+            found = _unstable(
+                class_sum_keys(
+                    node,
+                    node.entries(),
+                    class_of,
+                    transpose=(kind == "exact"),
+                ),
+                nontrivial,
+            )
+            if found is not None:
+                block, head, mismatched = found
+                culprit = min(
+                    cls
+                    for cls in set(head) | set(mismatched)
+                    if head.get(cls) != mismatched.get(cls)
+                )
+                return (
+                    f"level {level} node {index}: class sums over "
+                    f"{blocks[culprit]} differ inside class {block}"
+                )
     return None
 
 

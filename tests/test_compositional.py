@@ -1,6 +1,8 @@
 """Tests for the full compositional lumping algorithm (Figure 3b) —
 Theorems 3 and 4 exercised end to end."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from repro.lumping.verify import (
 )
 from repro.markov import CTMC, MarkovRewardProcess, steady_state
 from repro.matrixdiagram import flatten, md_from_kronecker_terms
+from repro.models import TandemParams, build_tandem, tandem_md_model
+from repro.models.tandem import projected_event_model
+from repro.statespace import reachable_bfs
 
 
 class TestSingleLevelTheorems:
@@ -187,3 +192,71 @@ class TestSmallTandem:
     def test_tandem_exact_lumping_verified(self, small_tandem):
         result = compositional_lump(small_tandem["model"], "exact")
         assert verify_compositional_result(result, max_states=5000)
+
+
+#: Per ``(jobs, kind)`` on the 2-dimensional hypercube / 2x2 MSMQ tandem:
+#: the lumped level sizes and, per level, the sha256 of the refined
+#: partition's ``repr((blocks_with_ids(), next_block_id))``.  The digests
+#: pin block ids and split order, not just the sizes, so a change in the
+#: class-sum keys' summation order or zero handling shows up here.
+PINNED_SMALL_TANDEM = {
+    (1, "ordinary"): (
+        (3, 33, 7),
+        (
+            "e8fa2aea5739a95279e868f66d109f6d6cb701dc5fa7662f15a728ce5fdf1556",
+            "92131c75faf2ecff0aa26ea4fe3be86c39d959f400c2b263e37ffaa0091cea7b",
+            "b18e22c612891c176519a09285e4ea01daeb929f535a936ea29dd639b1f0d626",
+        ),
+    ),
+    (1, "exact"): (
+        (3, 33, 11),
+        (
+            "e8fa2aea5739a95279e868f66d109f6d6cb701dc5fa7662f15a728ce5fdf1556",
+            "3a8c76b8d26c92b324ee7f39716ea47076ae5ca5833f741d2e07aa3c9f8ef161",
+            "de8e3d9c7ac7e4d0e796fe5bab282e385e54f8cb7b1df0fdf86c4a42ebb1473f",
+        ),
+    ),
+    (2, "ordinary"): (
+        (6, 91, 18),
+        (
+            "c05e6339521bca16aae9f0dd074475efa7898009a64e35b604cf1cd7a20510bf",
+            "e37f573391dcda8da291ab7f6a15b477b918f0b258a411669c7e7b2983756bf0",
+            "82515aaaa31f252525487baa4dbee48f153080d1bc9ee8556a8dd2bd5d9500f0",
+        ),
+    ),
+    (2, "exact"): (
+        (6, 91, 29),
+        (
+            "c05e6339521bca16aae9f0dd074475efa7898009a64e35b604cf1cd7a20510bf",
+            "f7e1b3378900547a7390e958f9110a7da69c31d390d9e51b009443a09b54f874",
+            "e29508762ef1975bbd3828f797f614c062b0db87ff652a91174da0a92a3740b1",
+        ),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["J1", "J2"])
+def pinned_tandem(request):
+    params = TandemParams(
+        jobs=request.param, cube_dim=2, msmq_servers=2, msmq_queues=2
+    )
+    compiled = build_tandem(params)
+    reach = reachable_bfs(compiled.event_model)
+    event_model = projected_event_model(compiled, reach)
+    reach = reachable_bfs(event_model)
+    return request.param, tandem_md_model(event_model, params, reachable=reach)
+
+
+class TestPinnedRefinement:
+    @pytest.mark.parametrize("kind", ["ordinary", "exact"])
+    def test_partitions_match_pinned_digests(self, pinned_tandem, kind):
+        jobs, model = pinned_tandem
+        sizes, digests = PINNED_SMALL_TANDEM[(jobs, kind)]
+        result = compositional_lump(model, kind)
+        assert tuple(result.lumped.md.level_sizes) == sizes
+        assert tuple(
+            hashlib.sha256(
+                repr((p.blocks_with_ids(), p.next_block_id)).encode()
+            ).hexdigest()
+            for p in result.partitions
+        ) == digests

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.lumping import MDModel, compositional_lump, lump_mrp
+from repro.lumping.keys import class_sum_keys
 from repro.lumping.verify import (
     global_product_partition,
     is_exactly_lumpable,
@@ -23,8 +24,10 @@ from repro.matrixdiagram import (
     md_from_kronecker_terms,
     md_vector_multiply,
 )
+from repro.matrixdiagram.node import MDNode
 from repro.partitions import Partition
 from repro.statespace import MDDManager
+from repro.util.numeric import quantize
 
 SLOW = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -98,6 +101,81 @@ def test_formal_sum_scaling_distributes(terms, factor):
 def test_formal_sum_zero_identity(terms):
     fs = FormalSum(terms)
     assert fs + FormalSum.zero() == fs
+
+
+# ----------------------------------------------------------------------
+# the class-sum kernel vs the reference node sums
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def labeled_node(draw):
+    """A random terminal or inner node and a class label per substate."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    terminal = draw(st.booleans())
+    cell = st.tuples(
+        st.integers(min_value=0, max_value=size - 1),
+        st.integers(min_value=0, max_value=size - 1),
+    )
+    min_size = 0
+    if draw(st.booleans()):
+        # Dense unit entries of both signs: sums cancel often, which
+        # keeps the kernel's zero-class dropping exercised.
+        min_size = min(size * size, 6)
+        value = st.sampled_from(
+            [-1.0, 1.0]
+            if terminal
+            else [FormalSum({1: -1.0}), FormalSum({1: 1.0})]
+        )
+    elif terminal:
+        value = st.floats(
+            min_value=-10, max_value=10, allow_nan=False, allow_infinity=False
+        )
+    else:
+        value = terms_strategy.map(FormalSum)
+    entries = draw(
+        st.dictionaries(cell, value, min_size=min_size, max_size=12)
+    )
+    node = MDNode(1, entries, terminal=terminal)
+    labels = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=2), min_size=size, max_size=size
+        )
+    )
+    return node, labels
+
+
+@given(labeled_node(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_class_sum_kernel_matches_row_and_col_sums(case, transpose):
+    node, labels = case
+    keys = class_sum_keys(
+        node, node.entries(), dict(enumerate(labels)), transpose
+    )
+    for state in range(len(labels)):
+        for cls in set(labels):
+            # The reference adds the class's entries in node.entries()
+            # order, the order the kernel promises.
+            if transpose:
+                rows = tuple(
+                    r for r, c, _ in node.entries()
+                    if c == state and labels[r] == cls
+                )
+                reference = node.col_sum_over(rows, state)
+            else:
+                cols = tuple(
+                    c for r, c, _ in node.entries()
+                    if r == state and labels[c] == cls
+                )
+                reference = node.row_sum_over(state, cols)
+            expected = (
+                quantize(reference) if node.terminal else reference.signature
+            )
+            got = keys.get(state, {}).get(cls)
+            if got is None:
+                assert expected in (0.0, ())
+            else:
+                assert got == expected and got not in (0.0, ())
 
 
 # ----------------------------------------------------------------------

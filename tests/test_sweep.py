@@ -18,6 +18,7 @@ from repro.analysis import lump_and_solve
 from repro.errors import SweepError
 from repro.lumping.compositional import compositional_lump
 from repro.lumping.md_model import MDModel
+from repro.matrixdiagram.node import MDNode
 from repro.robust.faults import inject_faults
 from repro.robust.report import RunReport
 from repro.service.spec import canonical_digest, demo_spec, model_from_spec
@@ -256,6 +257,88 @@ class TestReuseProof:
         assert partition_reuse_proof(model, base.partitions[:-1])
         other = model_from_spec(demo_spec("redundant:3,2"))
         assert partition_reuse_proof(other, base.partitions)
+
+    def test_uniform_site_scaling_passes_the_exact_proof(self):
+        model = model_from_spec(_base())
+        base = compositional_lump(model, "exact")
+        derived = apply_point(model, auto_sites(model.md), {"rate": 2.0})
+        assert (
+            partition_reuse_proof(derived, base.partitions, kind="exact")
+            is None
+        )
+        _lumping, reused = lump_with_reuse(derived, base)
+        assert reused
+
+    def test_tampered_entry_breaks_class_sums(self):
+        model = model_from_spec(_base())
+        base = compositional_lump(model)
+        tampered, _index, block = _tamper_row(model, base.partitions)
+        reason = partition_reuse_proof(tampered, base.partitions)
+        assert reason is not None and "class sums over" in reason
+        assert f"inside class {block}" in reason
+
+    def test_tampered_entry_breaks_exact_full_row_sums(self):
+        model = model_from_spec(_base())
+        base = compositional_lump(model, "exact")
+        tampered, _index, block = _tamper_row(model, base.partitions)
+        reason = partition_reuse_proof(
+            tampered, base.partitions, kind="exact"
+        )
+        assert reason is not None and "full row sums differ" in reason
+        assert f"inside class {block}" in reason
+
+    def test_changed_nodes_outside_the_tamper_are_trusted(self):
+        # The incremental proof only scans ``changed_nodes``; a caller
+        # that leaves out a changed node gets an unsound pass.  This is
+        # the documented contract, not a defect.
+        model = model_from_spec(_base())
+        base = compositional_lump(model, "exact")
+        tampered, index, _block = _tamper_row(model, base.partitions)
+        others = set(model.md.node_indices()) - {index}
+        assert (
+            partition_reuse_proof(
+                tampered, base.partitions, kind="exact",
+                changed_nodes=others,
+            )
+            is None
+        )
+        assert partition_reuse_proof(
+            tampered, base.partitions, kind="exact", changed_nodes={index}
+        )
+
+
+def _tamper_row(model, partitions):
+    """``model`` with one entry doubled in the row of the first state of
+    a nontrivial class, so that state's row sums leave its classmates'.
+
+    Returns ``(tampered model, tampered node index, class)``.
+    """
+    md = model.md
+    for level, partition in enumerate(partitions, start=1):
+        for block_id in partition.block_ids():
+            block = tuple(partition.block(block_id))
+            if len(block) < 2:
+                continue
+            for index, node in sorted(md.nodes_at(level).items()):
+                entries = {(r, c): e for r, c, e in node.entries()}
+                cell = next((rc for rc in entries if rc[0] == block[0]), None)
+                if cell is None:
+                    continue
+                entry = entries[cell]
+                entries[cell] = (
+                    entry * 2.0 if node.terminal else entry.scaled(2.0)
+                )
+                tampered = MDModel(
+                    md.with_nodes(
+                        {index: MDNode(level, entries, node.terminal)}
+                    ),
+                    level_rewards=model.level_rewards,
+                    level_initial=model.level_initial,
+                    reward_combiner=model.reward_combiner,
+                    reachable=model.reachable,
+                )
+                return tampered, index, block
+    raise AssertionError("demo model must lump something")
 
 
 # ----------------------------------------------------------------------
