@@ -16,7 +16,10 @@ The moving parts:
   (:mod:`repro.robust.heartbeat`) that is touched at every cooperative
   budget-check site; the parent polls it and SIGKILLs a child whose
   beat goes stale ("hung"), while a slow-but-beating child is left
-  alone.
+  alone.  Fork, beat, staleness rule, kill and reap are the
+  *watched-child primitive* (:func:`spawn_watched`, :func:`reap`,
+  :func:`hung_detail`, :func:`kill`), which the service dispatcher
+  (:mod:`repro.service.dispatcher`) uses for its workers too.
 * **Recovery** — every attempt after the first resumes from the
   checkpoint directory, so completed work is never repeated; restarts
   back off exponentially with deterministic jitter
@@ -107,8 +110,6 @@ class SupervisorConfig:
     cpu_limit_seconds: Optional[int] = None
     #: Beat staleness beyond which the watchdog declares "hung".
     heartbeat_timeout_seconds: float = 30.0
-    #: Floor between the child's heartbeat file writes.
-    heartbeat_interval_seconds: float = 0.05
     #: Parent poll cadence while the child runs.
     poll_interval_seconds: float = 0.02
     #: Checkpoint GC window passed to the child's checkpointer.
@@ -203,6 +204,81 @@ class _Paths:
 
 
 # ----------------------------------------------------------------------
+# the watched-child primitive
+# ----------------------------------------------------------------------
+
+
+def spawn_watched(
+    body: Callable[[heartbeat.Heartbeat], int], heartbeat_path: str
+) -> int:
+    """Fork a child that beats into ``heartbeat_path`` and runs ``body``.
+
+    The child installs the process-wide heartbeat (so every budget-check
+    site beats), forces a first beat, and exits with ``body(hb)``'s
+    return code — or 1 if anything escapes ``body``.  It never returns
+    into the caller's code.  Returns the child's pid to the parent.
+    """
+    _unlink_quietly(heartbeat_path)
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        raise SupervisorError(f"cannot fork a watched child: {exc}") from exc
+    if pid != 0:
+        return pid
+    try:
+        hb = heartbeat.install(heartbeat_path)
+        hb.beat(force=True)
+        code = body(hb)
+    except BaseException:  # reprolint: disable=RL005 -- forked child: the nonzero exit code IS the report; the parent classifies it
+        code = _EXIT_ERROR
+    # Skip interpreter teardown entirely: the child shares the parent's
+    # file descriptors, atexit hooks, and (under pytest) capture
+    # machinery, none of which may run twice.
+    os._exit(code)
+
+
+def reap(pid: int, block: bool = False) -> Optional[Tuple[int, Any]]:
+    """``(status, rusage)`` of an exited child, ``None`` while it runs.
+
+    A child that is already gone (reaped elsewhere) counts as a clean
+    exit: ``(0, None)``.
+    """
+    try:
+        wpid, status, rusage = os.wait4(pid, 0 if block else os.WNOHANG)
+    except ChildProcessError:
+        return 0, None
+    if wpid == 0:
+        return None
+    return status, rusage
+
+
+def hung_detail(
+    heartbeat_path: str, spawned_at: float, timeout: float
+) -> Optional[str]:
+    """Why a running child counts as hung, or ``None`` if it does not.
+
+    The one staleness rule: a beat older than ``timeout`` is hung, and
+    so is a child with no beat at all ``timeout`` after ``spawned_at``
+    (a ``time.monotonic()`` value) — wedging before the first beat must
+    not hold the child forever.
+    """
+    age = heartbeat.HeartbeatMonitor(heartbeat_path).age_seconds()
+    if age is not None and age > timeout:
+        return f"hung: heartbeat {age:.1f}s stale; killed"
+    if age is None and time.monotonic() - spawned_at > timeout:
+        return f"hung: no heartbeat within {timeout:.1f}s of spawn; killed"
+    return None
+
+
+def kill(pid: int) -> None:
+    """SIGKILL a child; one that already exited is not an error."""
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+# ----------------------------------------------------------------------
 # child side
 # ----------------------------------------------------------------------
 
@@ -261,17 +337,12 @@ def _child_main(
     ctx: AttemptContext,
     config: SupervisorConfig,
     paths: _Paths,
-) -> None:
-    """Run one attempt in the forked child.  Never returns."""
-    code = _EXIT_ERROR
+    hb: heartbeat.Heartbeat,
+) -> int:
+    """Run one attempt as a watched child's body; returns its exit code."""
     try:
         _apply_rlimits(config, ctx.report)
         faults.set_fired_log(paths.fired_log)
-        hb = heartbeat.install(
-            paths.heartbeat,
-            min_interval_seconds=config.heartbeat_interval_seconds,
-        )
-        hb.beat(force=True)
         result = target(ctx)
         hb.beat(force=True)
         ctx.report.attach_budget(ctx.budget)
@@ -283,29 +354,24 @@ def _child_main(
         # writes loses the result (attempt retried) but never yields a
         # result whose history is missing.
         atomic_write_bytes(paths.result, pickle.dumps(result))
-        code = _EXIT_OK
+        return _EXIT_OK
     except BudgetExceeded as exc:
         ctx.report.note(f"supervised attempt: budget exhausted: {exc}")
         _flush_child_report(ctx, paths)
         _write_error(paths.error, "budget", exc)
-        code = _EXIT_BUDGET
+        return _EXIT_BUDGET
     except MemoryError as exc:
         ctx.report.note(f"supervised attempt: out of memory: {exc}")
         _flush_child_report(ctx, paths)
         _write_error(paths.error, "oom", exc)
-        code = _EXIT_OOM
+        return _EXIT_OOM
     except BaseException as exc:
         ctx.report.note(
             f"supervised attempt failed: {type(exc).__name__}: {exc}"
         )
         _flush_child_report(ctx, paths)
         _write_error(paths.error, "error", exc)
-        code = _EXIT_ERROR
-    finally:
-        # Skip interpreter teardown entirely: the child shares the
-        # parent's file descriptors, atexit hooks, and (under pytest)
-        # capture machinery, none of which may run twice.
-        os._exit(code)
+        return _EXIT_ERROR
 
 
 def _flush_child_report(ctx: AttemptContext, paths: _Paths) -> None:
@@ -345,31 +411,23 @@ def _classify_exit(status: int) -> Tuple[str, Optional[int], Optional[int]]:
 
 
 def _watch(
-    pid: int,
-    monitor: heartbeat.HeartbeatMonitor,
-    config: SupervisorConfig,
-    started: float,
+    pid: int, config: SupervisorConfig, paths: _Paths, started: float
 ) -> Tuple[str, Optional[int], Optional[int], Any]:
     """Wait for the child, killing it if its heartbeat goes stale.
 
     Returns (exit_reason, exit_code, signal, rusage).
     """
     while True:
-        wpid, status, rusage = os.wait4(pid, os.WNOHANG)
-        if wpid == pid:
+        reaped = reap(pid)
+        if reaped is not None:
+            status, rusage = reaped
             reason, code, sig = _classify_exit(status)
             return reason, code, sig, rusage
-        age = monitor.age_seconds()
-        if age is None:
-            # No beat yet: measure from attempt start so a child that
-            # wedges before its first beat is still bounded.
-            age = time.monotonic() - started
-        if age > config.heartbeat_timeout_seconds:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass  # exited in the race window; reap below
-            _, status, rusage = os.wait4(pid, 0)
+        timeout = config.heartbeat_timeout_seconds
+        if hung_detail(paths.heartbeat, started, timeout) is not None:
+            kill(pid)
+            reaped = reap(pid, block=True)
+            rusage = reaped[1] if reaped is not None else None
             return "hung", None, signal.SIGKILL, rusage
         time.sleep(config.poll_interval_seconds)
 
@@ -468,7 +526,6 @@ def run_supervised(
             f"temporary {checkpoint_dir}"
         )
     paths = _Paths.under(checkpoint_dir)
-    monitor = heartbeat.HeartbeatMonitor(paths.heartbeat)
     manifest_path = os.path.join(checkpoint_dir, MANIFEST_NAME)
 
     attempts: List[ProcessAttemptReport] = []
@@ -489,9 +546,7 @@ def run_supervised(
             if resume_this and os.path.exists(manifest_path)
             else None
         )
-        _unlink_quietly(
-            paths.heartbeat, paths.result, paths.child_report, paths.error
-        )
+        _unlink_quietly(paths.result, paths.child_report, paths.error)
         ctx = AttemptContext(
             attempt_index=attempt_index,
             degradation_index=level_index,
@@ -506,18 +561,11 @@ def run_supervised(
             checkpoint_keep_last=config.checkpoint_keep_last,
         )
         started = time.monotonic()
-        try:
-            pid = os.fork()
-        except OSError as exc:
-            raise SupervisorError(
-                f"cannot fork a supervised child: {exc}"
-            ) from exc
-        if pid == 0:
-            _child_main(target, ctx, config, paths)
-            os._exit(_EXIT_ERROR)  # unreachable: _child_main never returns
-        reason, exit_code, sig, rusage = _watch(
-            pid, monitor, config, started
+        pid = spawn_watched(
+            lambda hb: _child_main(target, ctx, config, paths, hb),
+            paths.heartbeat,
         )
+        reason, exit_code, sig, rusage = _watch(pid, config, paths, started)
         seconds = time.monotonic() - started
 
         child_report_data = _read_json(paths.child_report)
@@ -557,21 +605,15 @@ def run_supervised(
             except (OSError, pickle.PickleError, EOFError) as exc:
                 # Exit 0 without a readable result: treat as a failed
                 # attempt (the checkpoints are still good).
-                attempt_record.exit_reason = "error"
-                attempt_record.error = f"result unreadable: {exc}"
-                report.record_process_attempt(attempt_record)
-                attempts.append(attempt_record)
-                failures += 1
-                last_error = attempt_record.error
-                continue
-            report.record_process_attempt(attempt_record)
-            attempts.append(attempt_record)
+                reason = attempt_record.exit_reason = "error"
+                error_detail = f"result unreadable: {exc}"
+                attempt_record.error = error_detail
+        report.record_process_attempt(attempt_record)
+        attempts.append(attempt_record)
+        if reason == "ok":
             return SupervisedResult(
                 result=result, report=report, attempts=attempts
             )
-
-        report.record_process_attempt(attempt_record)
-        attempts.append(attempt_record)
         if reason == "budget":
             # Terminal by design: retrying cannot succeed within the
             # caller's bound, and silently removing the bound would

@@ -1,12 +1,14 @@
 """The dispatcher: supervised worker processes over the shared store.
 
-The dispatcher is the service's parent process.  It forks ``workers``
+The dispatcher is the service's parent process.  It runs ``workers``
 child processes, each running the :class:`ServiceWorker` loop against
-the same store root, and supervises them the way
-:mod:`repro.robust.supervisor` supervises a pipeline stage:
+the same store root, on the supervisor's watched-child primitive
+(:func:`repro.robust.supervisor.spawn_watched`, :func:`reap`,
+:func:`hung_detail`, :func:`kill`):
 
-* each worker writes a file heartbeat; a stale heartbeat means the
-  worker is hung and gets SIGKILLed,
+* each worker beats a per-slot heartbeat file; a worker that
+  :func:`hung_detail` calls hung is SIGKILLed on one tick and reaped
+  on the next,
 * a dead worker (crash, OOM-kill, watchdog kill) is restarted with the
   :class:`RetryPolicy`'s exponential backoff + deterministic jitter,
 * a worker slot that keeps dying trips a per-slot crash-loop breaker
@@ -31,12 +33,13 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.robust import faults, heartbeat
-from repro.robust.heartbeat import HeartbeatMonitor
+from repro.robust import faults
+from repro.robust.heartbeat import Heartbeat
 from repro.robust.report import RunReport
 from repro.robust.retry import RetryPolicy
+from repro.robust.supervisor import hung_detail, kill, reap, spawn_watched
 from repro.service.cache import ResultCache
 from repro.service.store import (
     DEFAULT_LEASE_SECONDS,
@@ -117,41 +120,26 @@ class Dispatcher:
         slot.heartbeat_path = os.path.join(
             self._scratch, f"slot{slot.index}.hb"
         )
-        try:
-            os.unlink(slot.heartbeat_path)
-        except OSError:
-            pass
-        pid = os.fork()
-        if pid == 0:
-            # Child: run the worker loop and never return.
-            code = 1
-            try:
-                faults.check_at("service.slot", slot.index + 1)
-                # install (not a bare Heartbeat) hooks the beat into the
-                # cooperative budget-check sites, so the worker proves
-                # liveness *during* a long solve — not just between jobs
-                # — and a slow-but-healthy job outlives the watchdog.
-                worker = ServiceWorker(
-                    self.store,
-                    self.cache,
-                    worker_id=f"w{slot.index}-{os.getpid()}",
-                    lease_seconds=self.config.lease_seconds,
-                    heartbeat=heartbeat.install(
-                        slot.heartbeat_path, min_interval_seconds=0.01
-                    ),
-                    drain_when_empty=self.config.drain,
-                )
-                signal.signal(
-                    signal.SIGTERM, lambda *_: _stop_worker(worker)
-                )
-                worker.drain(
-                    poll_seconds=self.config.poll_interval_seconds
-                )
-                code = 0
-            except BaseException:  # reprolint: disable=RL005 -- forked child: the nonzero exit code IS the report; the parent records worker-crashed
-                code = 1
-            finally:
-                os._exit(code)
+
+        def body(hb: Heartbeat) -> int:
+            faults.check_at("service.slot", slot.index + 1)
+            # The installed heartbeat is hooked into the cooperative
+            # budget-check sites, so the worker proves liveness *during*
+            # a long solve — not just between jobs — and a
+            # slow-but-healthy job outlives the watchdog.
+            worker = ServiceWorker(
+                self.store,
+                self.cache,
+                worker_id=f"w{slot.index}-{os.getpid()}",
+                lease_seconds=self.config.lease_seconds,
+                heartbeat=hb,
+                drain_when_empty=self.config.drain,
+            )
+            signal.signal(signal.SIGTERM, lambda *_: _stop_worker(worker))
+            worker.drain(poll_seconds=self.config.poll_interval_seconds)
+            return 0
+
+        pid = spawn_watched(body, slot.heartbeat_path)
         slot.pid = pid
         slot.spawned_at = time.monotonic()
         self.stats.worker_starts += 1
@@ -215,44 +203,21 @@ class Dispatcher:
                         "worker-restarted", worker=slot.index
                     )
                 continue
-            # Reap if dead.
-            try:
-                pid, status = os.waitpid(slot.pid, os.WNOHANG)
-            except ChildProcessError:
-                pid, status = slot.pid, 0
-            if pid:
-                self._on_death(slot, status)
+            reaped = reap(slot.pid)
+            if reaped is not None:
+                self._on_death(slot, reaped[0])
                 continue
-            # Hung?  Stale heartbeat -> SIGKILL; the reap happens on the
-            # next tick.  A worker with *no* beat yet gets the same
-            # deadline measured from its spawn — wedging during startup
-            # (import, fault hook, first claim) must not hold the slot
-            # forever just because the heartbeat file never appeared.
-            monitor = HeartbeatMonitor(slot.heartbeat_path)
-            age = monitor.age_seconds()
-            timeout = self.config.heartbeat_timeout_seconds
-            if age is not None and age > timeout:
-                detail = f"hung: heartbeat {age:.1f}s stale; killed"
-            elif (
-                age is None
-                and time.monotonic() - slot.spawned_at > timeout
-            ):
-                detail = (
-                    f"hung: no heartbeat within {timeout:.1f}s "
-                    "of spawn; killed"
-                )
-            else:
-                continue
-            self.report.record_pool_event(
-                "worker-crashed", worker=slot.index, detail=detail
+            # Hung -> SIGKILL now; the reap happens on the next tick.
+            detail = hung_detail(
+                slot.heartbeat_path,
+                slot.spawned_at,
+                self.config.heartbeat_timeout_seconds,
             )
-            try:
-                os.kill(slot.pid, signal.SIGKILL)
-            except OSError:
-                pass
-
-    def _live_workers(self) -> int:
-        return sum(1 for s in self._slots if s.pid is not None)
+            if detail is not None:
+                self.report.record_pool_event(
+                    "worker-crashed", worker=slot.index, detail=detail
+                )
+                kill(slot.pid)
 
     # ------------------------------------------------------------------
     # the run loop
@@ -272,16 +237,7 @@ class Dispatcher:
         try:
             while True:
                 self._watch_slots()
-                now = time.monotonic()
-                if now - last_recover >= self.config.recover_interval_seconds:
-                    stats = self.store.recover(
-                        policy=self.config.policy,
-                        max_attempts=self.config.max_attempts,
-                        report=self.report,
-                    )
-                    self.stats.recover_requeued += len(stats.requeued)
-                    self.stats.recover_buried += len(stats.buried)
-                    last_recover = now
+                last_recover = self._recover_due(last_recover)
                 if self.stopping:
                     break
                 active = self.store.active_count()
@@ -321,18 +277,24 @@ class Dispatcher:
         )
         last_recover = 0.0
         while not self.stopping and self.store.active_count() > 0:
-            now = time.monotonic()
-            if now - last_recover >= self.config.recover_interval_seconds:
-                stats = self.store.recover(
-                    policy=self.config.policy,
-                    max_attempts=self.config.max_attempts,
-                    report=self.report,
-                )
-                self.stats.recover_requeued += len(stats.requeued)
-                self.stats.recover_buried += len(stats.buried)
-                last_recover = now
+            last_recover = self._recover_due(last_recover)
             if not worker.run_once():
                 time.sleep(self.config.poll_interval_seconds)
+
+    def _recover_due(self, last_recover: float) -> float:
+        """Run :meth:`JobStore.recover` if ``recover_interval_seconds``
+        have passed since ``last_recover``; returns the new mark."""
+        now = time.monotonic()
+        if now - last_recover < self.config.recover_interval_seconds:
+            return last_recover
+        stats = self.store.recover(
+            policy=self.config.policy,
+            max_attempts=self.config.max_attempts,
+            report=self.report,
+        )
+        self.stats.recover_requeued += len(stats.requeued)
+        self.stats.recover_buried += len(stats.buried)
+        return now
 
     def _install_signals(self) -> None:
         def _request_stop(_signum: int, _frame: object) -> None:
@@ -356,20 +318,12 @@ class Dispatcher:
         for slot in self._slots:
             if slot.pid is None:
                 continue
-            while time.monotonic() < deadline:
-                try:
-                    pid, _status = os.waitpid(slot.pid, os.WNOHANG)
-                except ChildProcessError:
-                    break
-                if pid:
+            while reap(slot.pid) is None:
+                if time.monotonic() >= deadline:
+                    kill(slot.pid)
+                    reap(slot.pid, block=True)
                     break
                 time.sleep(0.02)
-            else:
-                try:
-                    os.kill(slot.pid, signal.SIGKILL)
-                    os.waitpid(slot.pid, 0)
-                except (OSError, ChildProcessError):
-                    pass
             slot.pid = None
 
 

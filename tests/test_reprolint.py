@@ -174,11 +174,14 @@ def test_rl007_out_of_scope_path_is_clean():
     assert [f for f in report.findings if f.rule == "RL007"] == []
 
 
-def test_rl007_worker_pool_module_may_spawn():
+def test_rl007_dispatcher_fork_is_flagged():
+    # The dispatcher spawns through the supervisor's watched-child
+    # primitive; a direct fork there is outside the process layer.
     text = "import os\n\n\ndef spawn():\n    return os.fork()\n"
     report = _lint("src/repro/service/dispatcher.py", text)
-    assert [f for f in report.findings if f.rule == "RL007"] == []
-    assert len(_lint("src/repro/markov/ctmc.py", text).findings) == 1
+    flagged = [f for f in report.findings if f.rule == "RL007"]
+    assert len(flagged) == 1, flagged
+    assert "os.fork()" in flagged[0].message
 
 
 def test_rl008_process_layer_may_import_parallelism():

@@ -599,6 +599,51 @@ class TestDispatcher:
         crashed = dispatcher.report.pool_events_of_kind("worker-crashed")
         assert crashed and "no heartbeat" in crashed[0].detail
 
+    def test_spawned_worker_hung_at_startup_is_killed_and_replaced(
+        self, service, redundant_spec, other_spec
+    ):
+        """Through the real spawn path: slot 1 hangs at startup every
+        time it starts, so the watchdog must kill it as hung while slot 2
+        drains the queue.  Serve mode keeps the dispatcher watching until
+        both have happened, however fast slot 2 is."""
+        store, cache = service
+        for spec in (redundant_spec, other_spec):
+            store.submit(spec, cache=cache)
+        faults.reload_env("service.slot:1@hang:30")
+        dispatcher = Dispatcher(
+            store,
+            cache,
+            self._config(
+                workers=2, drain=False, heartbeat_timeout_seconds=0.5
+            ),
+        )
+
+        def hung_events():
+            return [
+                event
+                for event in dispatcher.report.pool_events_of_kind(
+                    "worker-crashed"
+                )
+                if event.detail.startswith("hung:")
+            ]
+
+        thread = threading.Thread(target=dispatcher.run, daemon=True)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (hung_events() and store.active_count() == 0):
+                assert time.monotonic() < deadline, "watchdog never fired"
+                time.sleep(0.02)
+        finally:
+            dispatcher.stopping = True
+            thread.join(timeout=15.0)
+            faults.reload_env("")
+        assert not thread.is_alive()
+        assert all(event.worker == 0 for event in hung_events())
+        views = store.views()
+        assert views and all(v.state == DONE for v in views)
+        assert all(v.last["worker"].startswith("w1-") for v in views)
+
 
 # ----------------------------------------------------------------------
 # the CLI

@@ -30,6 +30,7 @@ from repro.robust.retry import (
 from repro.robust.supervisor import (
     CrashLoopError,
     SupervisorConfig,
+    hung_detail,
     run_supervised,
 )
 
@@ -478,6 +479,35 @@ class TestRunSupervised:
             SupervisorConfig(poll_interval_seconds=0)
         with pytest.raises(ValueError):
             SupervisorConfig(ladder=())
+
+
+# ----------------------------------------------------------------------
+# the watched-child staleness rule
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "beat_age, spawned_ago, expected",
+    [
+        (0.0, 100.0, None),  # fresh beat
+        (5.0, 100.0, "stale"),  # stale beat
+        (None, 5.0, "no heartbeat"),  # no beat, deadline passed
+        (None, 0.0, None),  # no beat yet, still within the deadline
+    ],
+    ids=["fresh", "stale", "no-beat-late", "no-beat-early"],
+)
+def test_hung_detail(tmp_path, beat_age, spawned_ago, expected):
+    path = str(tmp_path / "hb")
+    now = time.monotonic()
+    if beat_age is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"{now - beat_age:.6f}\n")
+    detail = hung_detail(path, spawned_at=now - spawned_ago, timeout=1.0)
+    if expected is None:
+        assert detail is None
+    else:
+        assert detail is not None and detail.startswith("hung: ")
+        assert expected in detail
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """RL007: process spawning outside the process layer; unbounded waits.
 
-The supervised-execution layer (:mod:`repro.robust.supervisor`) and the
-service dispatcher (:mod:`repro.service.dispatcher`) are the only places
-allowed to create child processes: they are the components that pair
-every child with a heartbeat-driven watchdog and bounded restarts (the
+The supervised-execution layer (:mod:`repro.robust.supervisor`) is the
+only place allowed to create child processes: its watched-child
+primitive (``spawn_watched``/``reap``/``hung_detail``/``kill``) pairs
+every child with a heartbeat-driven watchdog, and the supervisor and
+the service dispatcher both build their bounded restarts on it (the
 supervisor adds hard OS limits via ``resource.setrlimit`` and
 restart-from-checkpoint).  A ``subprocess.Popen``/``os.fork`` call
 anywhere else creates an orphan the watchdog cannot see — it can hang forever, leak
@@ -29,14 +30,11 @@ from typing import Iterator, Tuple, Type
 
 from reprolint.core import FileContext, Finding, Rule, dotted_name
 
-#: The modules allowed to create child processes: the watchdog
-#: supervisor and the service dispatcher, which supervises its leased
-#: workers the same way (heartbeat watchdog, bounded restarts,
-#: drain-and-stop).
+#: The module allowed to create child processes: the supervisor, home
+#: of the watched-child primitive every other process user goes through.
 _PROCESS_LAYER_PATHS = frozenset(
     {
         "src/repro/robust/supervisor.py",
-        "src/repro/service/dispatcher.py",
     }
 )
 
@@ -94,10 +92,10 @@ class UnsupervisedSubprocess(Rule):
                     ctx,
                     node,
                     f"{name}() spawns a process outside the process "
-                    "layer (repro.robust.supervisor / "
-                    "repro.service.dispatcher) — no rlimits, heartbeat, "
-                    "or restart-from-checkpoint apply; route it through "
-                    "run_supervised() instead",
+                    "layer (repro.robust.supervisor) — no rlimits, "
+                    "heartbeat, or restart-from-checkpoint apply; route "
+                    "it through run_supervised() or spawn_watched() "
+                    "instead",
                 )
                 return
         func = node.func

@@ -1,10 +1,10 @@
 """RL008: ad-hoc parallelism outside the supervised process layer.
 
 The pipeline runs serially.  Child processes are created only by the
-process layer (the supervisor and the service dispatcher, see RL007),
-which pairs every child with a heartbeat and a crash-loop breaker, and
-only the supervisor (:mod:`repro.robust.supervisor`) may import process
-machinery.  A stray ``multiprocessing``/``concurrent.futures`` usage elsewhere
+process layer (:mod:`repro.robust.supervisor`, see RL007), whose
+watched-child primitive pairs every child with a heartbeat and whose
+callers add a crash-loop breaker, and only the supervisor may import
+process machinery.  A stray ``multiprocessing``/``concurrent.futures`` usage elsewhere
 recreates the failure modes that layer exists to prevent: orphan
 workers no watchdog sees, lost work on crash, and results folded in
 completion order, which makes runs irreproducible.
