@@ -11,13 +11,23 @@ their submodel's level.  Shared activities compile to one event per
 substate inside the event is what makes arbitrary joint rate dependence
 between the shared level and the submodel level *exactly* representable in
 Kronecker/MD form — no factorization assumption is needed.
+
+Each activity fires exactly once per (shared context, private marking),
+inside the local enumeration of its submodel.  That pass records the
+outcomes the event tables need (per activity, the non-empty outcome lists
+keyed by context and private marking; for a ``shared=False`` activity only
+under the two contexts its locality is checked against), and the
+per-activity table builders read that record instead of firing again.
+The marking checks behind the tables (``check_marking``,
+``check_shared_marking``) are memoized per distinct value tuple for one
+:func:`compile_join`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ModelError, StateSpaceError
 from repro.san.composition import Join
@@ -72,44 +82,98 @@ def _enumerate_shared(join: Join) -> List[Tuple[int, ...]]:
     return sorted(states)
 
 
+#: One activity's recorded firings: ``(context index, private state) ->
+#: [(shared target index, private target, rate), ...]``.  The shared target
+#: index is ``None`` when the target shared marking is not in the shared
+#: level's space.
+ActivityRecord = Dict[
+    Tuple[int, Tuple[int, ...]],
+    List[Tuple[Optional[int], Tuple[int, ...], float]],
+]
+
+
+def _memoized_check(
+    check: Callable[[Marking], bool], names: List[str]
+) -> Callable[[Tuple[int, ...]], bool]:
+    """``check`` on the marking a value tuple spells, evaluated at most
+    once per distinct tuple (filled lazily, on first use)."""
+    verdicts: Dict[Tuple[int, ...], bool] = {}
+
+    def valid(values: Tuple[int, ...]) -> bool:
+        verdict = verdicts.get(values)
+        if verdict is None:
+            verdict = verdicts[values] = check(dict(zip(names, values)))
+        return verdict
+
+    return valid
+
+
 def _enumerate_private(
     join: Join,
     submodel_index: int,
     shared_states: List[Tuple[int, ...]],
+    shared_index: Dict[Tuple[int, ...], int],
+    checked_contexts: Tuple[int, ...],
+    valid: Callable[[Tuple[int, ...]], bool],
     max_states: Optional[int],
-) -> List[Tuple[int, ...]]:
+) -> Tuple[List[Tuple[int, ...]], List[ActivityRecord]]:
     """Local BFS over a submodel's private markings, trying every shared
     marking as context (the standard over-approximation of the projection:
-    a superset of the exact projection, pruned by the local invariant)."""
+    a superset of the exact projection, pruned by the local invariant).
+
+    This is the only place an activity fires: every ``(activity, shared
+    context, private marking)`` fires exactly once, and the event tables
+    are built from what this pass records, one :data:`ActivityRecord`
+    per activity of the submodel.  Only non-empty outcome lists are
+    recorded.  A ``shared=False`` activity is recorded only under the
+    ``checked_contexts`` its local table is verified against; a shared
+    activity under every context.  A recorded private target already in
+    the local space is the space's own tuple, not a copy.
+
+    Returns the sorted local space and the records.
+    """
     model = join.submodels[submodel_index]
     shared_names = join.shared_place_names()
     private_names = join.private_place_names(submodel_index)
     initial = _marking_tuple(private_names, model.initial_marking())
-    seen = {initial}
+    # Each discovered state maps to itself so outcomes can share the tuple.
+    # The initial state enters unchecked: being seen does not imply valid.
+    seen = {initial: initial}
     frontier = [initial]
+    records: List[ActivityRecord] = [{} for _ in model.activities]
     while frontier:
         state = frontier.pop()
         private_marking = dict(zip(private_names, state))
-        for shared in shared_states:
+        for context_index, shared in enumerate(shared_states):
             full = dict(zip(shared_names, shared))
             full.update(private_marking)
-            for activity in model.activities:
-                for target_full, _rate in _fire_activity(activity, full):
+            checked = context_index in checked_contexts
+            for activity, record in zip(model.activities, records):
+                keep = checked or activity.shared
+                outcomes = []
+                for target_full, rate in _fire_activity(activity, full):
                     target = _marking_tuple(private_names, target_full)
-                    if target in seen:
-                        continue
-                    if not model.check_marking(
-                        dict(zip(private_names, target))
-                    ):
-                        continue
-                    seen.add(target)
-                    frontier.append(target)
-                    if max_states is not None and len(seen) > max_states:
-                        raise StateSpaceError(
-                            f"submodel {model.name!r} exceeds "
-                            f"{max_states} local states"
+                    canonical = seen.get(target)
+                    if canonical is not None:
+                        target = canonical
+                    elif valid(target):
+                        seen[target] = target
+                        frontier.append(target)
+                        if max_states is not None and len(seen) > max_states:
+                            raise StateSpaceError(
+                                f"submodel {model.name!r} exceeds "
+                                f"{max_states} local states"
+                            )
+                    if keep:
+                        shared_target = _marking_tuple(
+                            shared_names, target_full
                         )
-    return sorted(seen)
+                        outcomes.append(
+                            (shared_index.get(shared_target), target, rate)
+                        )
+                if outcomes:
+                    record[context_index, state] = outcomes
+    return sorted(seen), records
 
 
 def _fire_activity(
@@ -157,14 +221,29 @@ def compile_join(
     shared_names = join.shared_place_names()
     shared_states = _enumerate_shared(join)
     shared_index = {state: i for i, state in enumerate(shared_states)}
+    shared_valid = _memoized_check(join.check_shared_marking, shared_names)
+    # A shared=False activity is verified under the first and last shared
+    # state: its tables must agree there.
+    last = len(shared_states) - 1
+    checked_contexts = (0, last) if last else (0,)
 
     level_spaces = [LevelSpace("shared", shared_states)]
     level_names = ["shared"]
     level_place_names = [shared_names]
     private_states: List[List[Tuple[int, ...]]] = []
     private_indices: List[Dict[Tuple[int, ...], int]] = []
+    private_valid: List[Callable[[Tuple[int, ...]], bool]] = []
+    activity_records: List[List[ActivityRecord]] = []
     for k, model in enumerate(join.submodels):
-        states = _enumerate_private(join, k, shared_states, max_local_states)
+        valid = _memoized_check(
+            model.check_marking, join.private_place_names(k)
+        )
+        states, records = _enumerate_private(
+            join, k, shared_states, shared_index, checked_contexts, valid,
+            max_local_states,
+        )
+        private_valid.append(valid)
+        activity_records.append(records)
         private_states.append(states)
         private_indices.append({state: i for i, state in enumerate(states)})
         level_spaces.append(LevelSpace(model.name, states))
@@ -187,19 +266,19 @@ def compile_join(
         sync_tables: Dict[
             Tuple[int, int], Dict[int, List[Tuple[int, float]]]
         ] = {}
-        for activity in model.activities:
+        for activity, record in zip(model.activities, activity_records[k]):
             if not activity.shared:
                 table, dropped_here = _compile_local_activity(
-                    join, k, activity, shared_states, private_states[k],
-                    private_indices[k],
+                    activity, record, checked_contexts,
+                    private_states[k], private_indices[k], private_valid[k],
                 )
                 dropped += dropped_here
                 for source, options in table.items():
                     local_table.setdefault(source, []).extend(options)
             else:
                 grouped, dropped_here = _compile_shared_activity(
-                    join, k, activity, shared_states, shared_index,
-                    private_states[k], private_indices[k],
+                    record, shared_states, private_states[k],
+                    private_indices[k], private_valid[k], shared_valid,
                 )
                 dropped += dropped_here
                 for pair, table in grouped.items():
@@ -245,43 +324,35 @@ def compile_join(
 
 
 def _compile_local_activity(
-    join: Join,
-    submodel_index: int,
     activity: Activity,
-    shared_states: List[Tuple[int, ...]],
+    record: ActivityRecord,
+    contexts: Tuple[int, ...],
     private_states: List[Tuple[int, ...]],
     private_index: Dict[Tuple[int, ...], int],
+    valid: Callable[[Tuple[int, ...]], bool],
 ):
     """A ``shared=False`` activity becomes one single-level effect table.
 
-    The activity is evaluated under two different shared contexts; any
-    disagreement means the ``shared=False`` declaration was wrong.
+    The activity's recorded outcomes under the checked shared
+    ``contexts`` (indices) are compared; any disagreement means the
+    ``shared=False`` declaration was wrong.
     """
-    model = join.submodels[submodel_index]
-    shared_names = join.shared_place_names()
-    names = join.private_place_names(submodel_index)
-    contexts = [shared_states[0]]
-    if len(shared_states) > 1:
-        contexts.append(shared_states[-1])
     table: Dict[int, List[Tuple[int, float]]] = {}
     dropped = 0
     for source_index, source in enumerate(private_states):
         reference: Optional[List[Tuple[int, float]]] = None
         for context in contexts:
-            full = dict(zip(shared_names, context))
-            full.update(dict(zip(names, source)))
             options: List[Tuple[int, float]] = []
-            for target_full, rate in _fire_activity(activity, full):
-                if _marking_tuple(shared_names, target_full) != context:
+            for s1_target_index, target, rate in record.get(
+                (context, source), ()
+            ):
+                if s1_target_index != context:
                     raise ModelError(
                         f"activity {activity.name!r} is declared local "
                         f"but modifies shared places"
                     )
-                target = _marking_tuple(names, target_full)
                 target_index = private_index.get(target)
-                if target_index is None or not model.check_marking(
-                    dict(zip(names, target))
-                ):
+                if target_index is None or not valid(target):
                     dropped += 1
                     continue
                 options.append((target_index, rate))
@@ -299,38 +370,27 @@ def _compile_local_activity(
 
 
 def _compile_shared_activity(
-    join: Join,
-    submodel_index: int,
-    activity: Activity,
+    record: ActivityRecord,
     shared_states: List[Tuple[int, ...]],
-    shared_index: Dict[Tuple[int, ...], int],
     private_states: List[Tuple[int, ...]],
     private_index: Dict[Tuple[int, ...], int],
+    valid: Callable[[Tuple[int, ...]], bool],
+    shared_valid: Callable[[Tuple[int, ...]], bool],
 ):
     """A shared activity becomes one event per (shared, shared') pair."""
-    model = join.submodels[submodel_index]
-    shared_names = join.shared_place_names()
-    names = join.private_place_names(submodel_index)
-    level = submodel_index + 2
     grouped: Dict[Tuple[int, int], Dict[int, List[Tuple[int, float]]]] = {}
     dropped = 0
-    for s1_index, shared in enumerate(shared_states):
-        shared_marking = dict(zip(shared_names, shared))
+    for s1_index in range(len(shared_states)):
         for source_index, source in enumerate(private_states):
-            full = dict(shared_marking)
-            full.update(dict(zip(names, source)))
-            for target_full, rate in _fire_activity(activity, full):
-                shared_target = _marking_tuple(shared_names, target_full)
-                target = _marking_tuple(names, target_full)
-                s1_target_index = shared_index.get(shared_target)
+            for s1_target_index, target, rate in record.get(
+                (s1_index, source), ()
+            ):
                 target_index = private_index.get(target)
                 if (
                     s1_target_index is None
                     or target_index is None
-                    or not model.check_marking(dict(zip(names, target)))
-                    or not join.check_shared_marking(
-                        dict(zip(shared_names, shared_target))
-                    )
+                    or not valid(target)
+                    or not shared_valid(shared_states[s1_target_index])
                 ):
                     dropped += 1
                     continue

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import StateSpaceError
 from repro.markov.ctmc import CTMC
 from repro.robust import budgets, checkpoint, faults
@@ -90,8 +92,15 @@ class ReachabilityResult:
 
     def potential_indices(self) -> List[int]:
         """Mixed-radix flat indices of the reachable states within the
-        potential product space (for restricting flattened MDs)."""
-        return [self.model.encode(state) for state in self.states]
+        potential product space (for restricting flattened MDs): what
+        :meth:`EventModel.encode` gives per state, computed in one step.
+        A potential space too large for int64 raises ``ValueError``."""
+        digits = np.asarray(self.states, dtype=np.int64).reshape(
+            len(self.states), self.model.num_levels
+        )
+        return np.ravel_multi_index(
+            digits.T, self.model.level_sizes()
+        ).tolist()
 
 
 def reachable_bfs(

@@ -13,6 +13,7 @@ from repro.statespace import (
     reachable_mdd,
     reachable_saturation,
 )
+from repro.models import TandemParams, build_tandem
 from repro.models.simple import closed_tandem_join
 from repro.san import compile_join
 
@@ -142,3 +143,16 @@ class TestToCTMC:
         model = ring_model(1)
         ctmc = reachable_bfs(model).to_ctmc()
         assert ctmc.label(0) == (0, 1)
+
+
+class TestPotentialIndices:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_match_encode_per_state(self, jobs):
+        compiled = build_tandem(
+            TandemParams(jobs=jobs, cube_dim=2, msmq_servers=2, msmq_queues=2)
+        )
+        model = compiled.event_model
+        reach = reachable_bfs(model)
+        indices = reach.potential_indices()
+        assert indices == [model.encode(state) for state in reach.states]
+        assert all(type(index) is int for index in indices)

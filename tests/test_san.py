@@ -1,11 +1,17 @@
 """Tests for the SAN modeling layer: places, activities, Join, compiler."""
 
+import collections
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro.san.semantics as semantics
 from repro.errors import CompositionError, ModelError
 from repro.markov import steady_state
-from repro.models.simple import closed_tandem_join
+from repro.models import TandemParams, build_tandem
+from repro.models.cluster import build_cluster
+from repro.models.simple import closed_tandem_join, redundant_units_join
 from repro.san import Activity, Case, Join, Place, SANModel, compile_join
 from repro.statespace import reachable_bfs
 
@@ -214,3 +220,118 @@ class TestCompiler:
         reach = reachable_bfs(compiled.event_model)
         ctmc = reach.to_ctmc()
         assert ctmc.is_irreducible()
+
+    def test_local_declaration_rate_dependence_enforced(self):
+        # Never touches the shared place, but its rate reads it, so the
+        # first and last shared marking give different tables.
+        def fill(m):
+            m = dict(m)
+            m["xa"] = 1
+            return m
+
+        a = SANModel(
+            "a",
+            [Place("s", 1, 1), Place("xa", 1, 0)],
+            [
+                Activity(
+                    "peeks",
+                    lambda m: 1.0 + m["s"] if m["xa"] == 0 else 0.0,
+                    [Case(1.0, fill)],
+                    shared=False,
+                )
+            ],
+        )
+        b = SANModel("b", [Place("s", 1, 1), Place("xb", 1, 0)], [])
+        with pytest.raises(ModelError, match="depends on shared places"):
+            compile_join(Join([a, b]))
+
+    def test_every_activity_fires_once_per_marking(self, monkeypatch):
+        fired = collections.Counter()
+        fire = semantics._fire_activity
+
+        def counting(activity, marking):
+            fired[id(activity), tuple(sorted(marking.items()))] += 1
+            return fire(activity, marking)
+
+        monkeypatch.setattr(semantics, "_fire_activity", counting)
+        compiled = build_tandem(
+            TandemParams(jobs=1, cube_dim=2, msmq_servers=2, msmq_queues=2)
+        )
+        assert fired and max(fired.values()) == 1
+        sizes = compiled.event_model.level_sizes()
+        expected = sum(
+            sizes[k + 1] * sizes[0] * len(model.activities)
+            for k, model in enumerate(compiled.join.submodels)
+        )
+        assert sum(fired.values()) == expected
+
+
+def compile_digest(compiled):
+    """sha256 over everything the compiler decides: level names and
+    labels, the events in order (name, weight, effects in key order), the
+    initial state, the dropped-transition count and the stats."""
+    model = compiled.event_model
+    payload = (
+        compiled.level_names,
+        [level.labels for level in model.levels],
+        [(event.name, event.weight, event.effects) for event in model.events],
+        model.initial_state,
+        compiled.dropped_transitions,
+        compiled.stats,
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _small_tandem(jobs, **rates):
+    return build_tandem(
+        TandemParams(
+            jobs=jobs, cube_dim=2, msmq_servers=2, msmq_queues=2, **rates
+        )
+    )
+
+
+#: Compiled-model digests (see :func:`compile_digest`).  Any change to
+#: the level spaces, the event tables, their order or the dropped count
+#: shows up here; the asymmetric hypercube rates keep the per-server
+#: tables distinct.
+COMPILE_DIGESTS = {
+    "paper_tandem_j1": (
+        lambda: build_tandem(TandemParams(jobs=1)),
+        "957f518c61957c2cf66ad55c95ad68b9855abf55b86247eeaefb7f1568f787e4",
+    ),
+    "small_tandem_j1": (
+        lambda: _small_tandem(1),
+        "f73ea27d101fffe900d69338e79d108c01ac918d264c8714ecb6fa5902cd460a",
+    ),
+    "small_tandem_j2": (
+        lambda: _small_tandem(2),
+        "a322378f88f471697198b09a2eb9728b7e42b93f09e8c57fa733f6e079a8ec45",
+    ),
+    "small_tandem_j3": (
+        lambda: _small_tandem(3),
+        "e76b63a4719224b09375adcfcac438df80c09b8527c9bb710b1e4adc56143002",
+    ),
+    "small_tandem_j2_asymmetric": (
+        lambda: _small_tandem(2, hyper_service_rates=[1.0, 1.5, 2.25, 0.7]),
+        "982aa6dad8f9e8fdd20d604808331e5abce4c1c0aa0fd4849d5bdca22445326f",
+    ),
+    "cluster_3_2": (
+        lambda: compile_join(build_cluster(3, 2)),
+        "748c4490c876dd6abb56db331095ed54c5ab6fb93d44ef3197aab8a03ad4aa1b",
+    ),
+    "closed_tandem_2": (
+        lambda: compile_join(closed_tandem_join(2)),
+        "5eeaa550092b6d547d4433bad2cb2c46f23d7dd044827b5ab528f578331b7930",
+    ),
+    "redundant_units_4_1": (
+        lambda: compile_join(redundant_units_join(4, 1)),
+        "6f6e8e7af1fe25c94476f0f14d25058fc5345fb272981013225bd5ccbdbb6352",
+    ),
+}
+
+
+class TestCompileDigests:
+    @pytest.mark.parametrize("case", sorted(COMPILE_DIGESTS))
+    def test_compiled_model_matches_pinned_digest(self, case):
+        build, expected = COMPILE_DIGESTS[case]
+        assert compile_digest(build()) == expected
