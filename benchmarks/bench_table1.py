@@ -19,7 +19,7 @@ _ROWS_CACHE = {}
 
 def _rows():
     if "rows" not in _ROWS_CACHE:
-        _ROWS_CACHE["rows"] = [run_table1_row(j) for j in bench_jobs()]
+        _ROWS_CACHE["rows"] = [run_table1_row(j).row for j in bench_jobs()]
     return _ROWS_CACHE["rows"]
 
 
@@ -56,6 +56,18 @@ def test_table1_lower(benchmark):
     for row in benchmark.pedantic(_rows, rounds=1, iterations=1):
         assert row.lump_seconds < row.generation_seconds
         assert row.md_memory_bytes > 4 * row.lumped_md_memory_bytes
+
+
+def test_paper_table1_j2_pinned():
+    """The J=2 row at the paper's configuration, as in results/table1.txt
+    (the J=1 row is pinned in tier-1, tests/test_bench_harness.py); runs
+    in CI rather than tier-1 because it takes about half a minute."""
+    row = run_table1_row(2).row
+    assert row.unlumped_overall == 2_457_600
+    assert row.unlumped_level_sizes == [6, 11520, 2112]
+    assert row.md_nodes_per_level == [1, 6, 4]
+    assert row.lumped_overall == 22_600
+    assert row.lumped_level_sizes == [6, 1276, 135]
 
 
 def test_lump_step_benchmark(benchmark, paper_tandem_j1):

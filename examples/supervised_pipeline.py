@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from repro.bench.table1 import run_table1_row_robust
+from repro.bench.table1 import run_table1_row
 from repro.models import TandemParams
 from repro.robust import faults
 from repro.robust.retry import RetryPolicy
@@ -33,7 +33,7 @@ def main() -> None:
     )
 
     print("=== clean supervised run ===")
-    clean = run_table1_row_robust(
+    clean = run_table1_row(
         1, params, supervised=True, supervisor=config
     )
     for attempt in clean.report.process_attempts:
@@ -47,7 +47,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as ck_dir:
         faults.reload_env("budget:40@sigkill,budget:80@oom")
         try:
-            stormed = run_table1_row_robust(
+            stormed = run_table1_row(
                 1,
                 params,
                 supervised=True,
@@ -75,7 +75,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as ck_dir:
         faults.reload_env("budget:1+@sigkill")
         try:
-            run_table1_row_robust(
+            run_table1_row(
                 1,
                 params,
                 supervised=True,

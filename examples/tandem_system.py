@@ -19,7 +19,7 @@ from repro.matrixdiagram import md_stats
 from repro.models import TandemParams, build_tandem, tandem_md_model
 from repro.models.tandem import projected_event_model
 from repro.statespace import reachable_bfs
-from repro.util import Stopwatch, format_bytes, format_seconds
+from repro.util import format_bytes, format_seconds, timed
 
 
 def main(jobs: int = 1, cube_dim: int = 2) -> None:
@@ -31,8 +31,7 @@ def main(jobs: int = 1, cube_dim: int = 2) -> None:
     print(f"tandem system: J={jobs}, {params.num_hyper_servers()}-server "
           f"hypercube, {msmq[0]}x{msmq[1]} MSMQ")
 
-    watch = Stopwatch()
-    with watch.phase("generation"):
+    with timed() as generation:
         compiled = build_tandem(params)
         reach = reachable_bfs(compiled.event_model)
         event_model = projected_event_model(compiled, reach)
@@ -43,12 +42,12 @@ def main(jobs: int = 1, cube_dim: int = 2) -> None:
     print(f"reachable states: {reach.num_states}, per level "
           f"{reach.level_sizes()}, MD nodes {stats.nodes_per_level}, "
           f"MD memory {format_bytes(stats.memory_bytes)}")
-    print(f"generation time: {format_seconds(watch.elapsed('generation'))}")
+    print(f"generation time: {format_seconds(generation.seconds)}")
 
-    with watch.phase("lumping"):
+    with timed() as lumping:
         result = compositional_lump(model, "ordinary")
     lumped_stats = md_stats(result.lumped.md)
-    print(f"lump time: {format_seconds(watch.elapsed('lumping'))}")
+    print(f"lump time: {format_seconds(lumping.seconds)}")
     for reduction in result.reductions:
         print(f"  level {reduction.level}: {reduction.original_size} -> "
               f"{reduction.lumped_size} ({reduction.factor:.1f}x)")

@@ -68,10 +68,7 @@ from repro.robust import (
     RunReport,
     inject_faults,
 )
-from repro.robust.fallback import (
-    reachable_with_fallback,
-    solve_with_fallback,
-)
+from repro.robust.fallback import solve_with_fallback
 
 __version__ = "1.0.0"
 
@@ -121,6 +118,5 @@ __all__ = [
     "inject_faults",
     "RunReport",
     "solve_with_fallback",
-    "reachable_with_fallback",
     "__version__",
 ]

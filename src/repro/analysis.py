@@ -202,17 +202,18 @@ def lump_and_solve(
     )
 
     def attempt(ctx: AttemptContext) -> LumpedSolution:
-        return _lump_solve_stages(
+        result = _lump_stage(
+            model, ctx, kind=kind, iterate=iterate, key=key, lumping=lumping
+        )
+        return _solve_stages(
             model,
+            result,
             ctx,
             robust=robust,
             kind=kind,
             method=method,
-            iterate=iterate,
-            key=key,
             certify=certify,
             certificate_tol=certificate_tol,
-            lumping=lumping,
             x0=x0,
         )
 
@@ -307,43 +308,30 @@ def _run_pipeline(
     return outcome.result
 
 
-def _lump_solve_stages(
+def _lump_stage(
     model: MDModel,
     ctx: AttemptContext,
     *,
-    robust: bool,
     kind: str = "ordinary",
-    method: str = "direct",
     iterate: bool = False,
     key: str = "formal",
-    certify: bool = False,
-    certificate_tol: Optional[float] = None,
     lumping: Optional[CompositionalLumpingResult] = None,
-    x0: Optional[np.ndarray] = None,
-) -> LumpedSolution:
-    """The lumping, solve and certify stages of one pipeline run.
+) -> CompositionalLumpingResult:
+    """The ``lumping`` stage of one pipeline run.
 
-    Runs inside :func:`_run_pipeline`'s scope and records into
-    ``ctx.report``; the ``lumping`` and ``solve`` stages checkpoint
-    under those scope labels.  Lumping degrades per level when the
-    rung says so.  Only the solve branches on ``robust``: the plain
-    path calls ``steady_state`` for ``method`` and raises on failure,
-    the robust path walks the rung's solver chain (default: ``method``,
-    then the remaining :data:`~repro.robust.fallback.DEFAULT_SOLVER_CHAIN`)
-    and records every attempt, the fallback taken and the solver's note.
+    Runs inside :func:`_run_pipeline`'s scope, records into
+    ``ctx.report`` and checkpoints under the ``lumping`` scope label.
+    Lumping degrades per level when the rung says so; a precomputed
+    ``lumping`` is passed through unchanged.
     """
-    report = ctx.report
-    chain = ctx.degradation.solver_chain
-    if chain is None:
-        chain = [method] + [m for m in DEFAULT_SOLVER_CHAIN if m != method]
-    with report.stage("lumping") as stage, checkpoint_scoped("lumping"):
+    with ctx.report.stage("lumping") as stage, checkpoint_scoped("lumping"):
         if lumping is not None:
             result = lumping
             stage.detail = "reused precomputed partition"
         else:
             result = compositional_lump(
                 model, kind=kind, key=key, iterate=iterate,
-                degrade=ctx.degradation.lumping_degrade, report=report,
+                degrade=ctx.degradation.lumping_degrade, report=ctx.report,
             )
         if result.skipped_levels:
             stage.status = "degraded"
@@ -351,6 +339,38 @@ def _lump_solve_stages(
                 f"{len(result.skipped_levels)} level(s) kept the "
                 "identity partition"
             )
+    return result
+
+
+def _solve_stages(
+    model: MDModel,
+    result: CompositionalLumpingResult,
+    ctx: AttemptContext,
+    *,
+    robust: bool,
+    kind: str = "ordinary",
+    method: str = "direct",
+    certify: bool = False,
+    certificate_tol: Optional[float] = None,
+    x0: Optional[np.ndarray] = None,
+) -> LumpedSolution:
+    """The solve and certify stages of one pipeline run, on the lumped
+    chain of ``result`` (restricted to its reachable set).
+
+    Runs inside :func:`_run_pipeline`'s scope, after :func:`_lump_stage`;
+    the ``solve`` stage checkpoints under that scope label.  Only the
+    solve branches on ``robust``: the plain path calls ``steady_state``
+    for ``method`` and raises on failure, the robust path walks the
+    rung's solver chain (default: ``method``, then the remaining
+    :data:`~repro.robust.fallback.DEFAULT_SOLVER_CHAIN`) and records
+    every attempt, the fallback taken and the solver's note.
+    Certification checks the answer against ``model``, the unlumped
+    model.
+    """
+    report = ctx.report
+    chain = ctx.degradation.solver_chain
+    if chain is None:
+        chain = [method] + [m for m in DEFAULT_SOLVER_CHAIN if m != method]
     with report.stage("solve") as stage, checkpoint_scoped("solve"):
         lumped_ctmc = result.lumped.flat_ctmc()
         if not lumped_ctmc.is_irreducible():

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.bench --jobs 1,2 [--cube-dim 3] [--kind ordinary]
-                          [--engine bfs|mdd] [--output table1.txt]
+                          [--robust] [--output table1.txt]
 
 Prints the paper's three-part Table 1 for the requested J values.
 """
@@ -47,25 +47,12 @@ def main(argv=None) -> int:
         help="lumpability kind (default ordinary, as in the paper)",
     )
     parser.add_argument(
-        "--engine",
-        choices=["bfs", "mdd"],
-        default="bfs",
-        help="reachability engine (default bfs)",
-    )
-    parser.add_argument(
-        "--symbolic",
-        action="store_true",
-        help="use the fully symbolic pipeline (MDD saturation + level "
-        "mapping; never enumerates states — required for J >= 3 at the "
-        "paper's configuration)",
-    )
-    parser.add_argument(
         "--robust",
         action="store_true",
-        help="use the resilient pipeline (engine + solver fallback chains, "
-        "graceful lumping degradation) and print a run report per J; "
-        "combine with REPRO_FAULTS / --time-budget to exercise degraded "
-        "paths",
+        help="use the resilient pipeline (solver fallback chain, graceful "
+        "lumping degradation), solve the lumped chain and print a run "
+        "report per J; combine with REPRO_FAULTS / --time-budget to "
+        "exercise degraded paths",
     )
     parser.add_argument(
         "--supervised",
@@ -146,6 +133,28 @@ def main(argv=None) -> int:
         args.iteration_budget is not None or args.time_budget is not None
     ) and not args.robust:
         parser.error("--time-budget/--iteration-budget require --robust")
+    if args.time_budget is not None and args.time_budget <= 0:
+        parser.error("--time-budget must be positive")
+    if args.iteration_budget is not None and args.iteration_budget <= 0:
+        parser.error("--iteration-budget must be positive")
+
+    from repro.robust.budgets import Budget, BudgetExceeded
+    from repro.robust.retry import RetryPolicy
+    from repro.robust.supervisor import CrashLoopError, SupervisorConfig
+
+    supervisor_config = None
+    if args.supervised:
+        policy_kwargs = {}
+        if args.max_restarts is not None:
+            policy_kwargs["max_restarts"] = args.max_restarts
+        config_kwargs = {}
+        if args.mem_limit is not None:
+            config_kwargs["mem_limit_bytes"] = args.mem_limit
+        if args.heartbeat_timeout is not None:
+            config_kwargs["heartbeat_timeout_seconds"] = args.heartbeat_timeout
+        supervisor_config = SupervisorConfig(
+            policy=RetryPolicy(**policy_kwargs), **config_kwargs
+        )
 
     rows = []
     reports = []
@@ -157,85 +166,43 @@ def main(argv=None) -> int:
             msmq_queues=args.msmq_queues,
         )
         print(f"running J={jobs} ...", file=sys.stderr, flush=True)
-        if args.robust:
-            from repro.bench.table1 import run_table1_row_robust
-            from repro.robust.budgets import Budget, BudgetExceeded
-            from repro.robust.supervisor import CrashLoopError
-
-            if args.time_budget is not None and args.time_budget <= 0:
-                parser.error("--time-budget must be positive")
-            if args.iteration_budget is not None and args.iteration_budget <= 0:
-                parser.error("--iteration-budget must be positive")
-            budget = None
-            if args.time_budget is not None or args.iteration_budget is not None:
-                budget = Budget(
-                    wall_clock_seconds=args.time_budget,
-                    max_iterations=args.iteration_budget,
-                )
-            engines = (
-                ("mdd", "bfs") if args.engine == "mdd" else ("bfs", "mdd")
+        budget = None
+        if args.time_budget is not None or args.iteration_budget is not None:
+            budget = Budget(
+                wall_clock_seconds=args.time_budget,
+                max_iterations=args.iteration_budget,
             )
-            supervisor_config = None
-            if args.supervised:
-                from repro.robust.retry import RetryPolicy
-                from repro.robust.supervisor import SupervisorConfig
-
-                policy_kwargs = {}
-                if args.max_restarts is not None:
-                    policy_kwargs["max_restarts"] = args.max_restarts
-                config_kwargs = {}
-                if args.mem_limit is not None:
-                    config_kwargs["mem_limit_bytes"] = args.mem_limit
-                if args.heartbeat_timeout is not None:
-                    config_kwargs["heartbeat_timeout_seconds"] = (
-                        args.heartbeat_timeout
-                    )
-                supervisor_config = SupervisorConfig(
-                    policy=RetryPolicy(**policy_kwargs), **config_kwargs
-                )
-            try:
-                run = run_table1_row_robust(
-                    jobs, params, engines=engines, kind=args.kind,
-                    budget=budget,
-                    checkpoint_dir=args.checkpoint_dir,
-                    resume=args.resume,
-                    supervised=args.supervised,
-                    supervisor=supervisor_config,
-                )
-            except CrashLoopError as exc:
-                # The circuit breaker tripped: emit the structured
-                # diagnosis (machine-readable, one JSON object) plus the
-                # merged per-attempt history, then fail loudly.
-                print(f"J={jobs}: crash loop: {exc}", file=sys.stderr)
+        try:
+            run = run_table1_row(
+                jobs, params, kind=args.kind,
+                robust=args.robust,
+                budget=budget,
+                checkpoint_dir=args.checkpoint_dir,
+                resume=args.resume,
+                supervised=args.supervised,
+                supervisor=supervisor_config,
+            )
+        except CrashLoopError as exc:
+            # The circuit breaker tripped: emit the structured diagnosis
+            # (machine-readable, one JSON object) plus the merged
+            # per-attempt history, then fail loudly.
+            print(f"J={jobs}: crash loop: {exc}", file=sys.stderr)
+            print(json.dumps(exc.diagnosis, indent=2), file=sys.stderr)
+            print(f"J={jobs} {exc.report.render()}", file=sys.stderr)
+            return 3
+        except BudgetExceeded as exc:
+            print(f"J={jobs}: budget exhausted: {exc}", file=sys.stderr)
+            if args.checkpoint_dir:
                 print(
-                    json.dumps(exc.diagnosis, indent=2), file=sys.stderr
+                    f"J={jobs}: progress checkpointed in "
+                    f"{args.checkpoint_dir!r}; re-run with --resume "
+                    "(and a larger budget) to continue",
+                    file=sys.stderr,
                 )
-                print(f"J={jobs} {exc.report.render()}", file=sys.stderr)
-                return 3
-            except BudgetExceeded as exc:
-                print(f"J={jobs}: budget exhausted: {exc}", file=sys.stderr)
-                if args.checkpoint_dir:
-                    print(
-                        f"J={jobs}: progress checkpointed in "
-                        f"{args.checkpoint_dir!r}; re-run with --resume "
-                        "(and a larger budget) to continue",
-                        file=sys.stderr,
-                    )
-                return 2
-            rows.append(run.row)
+            return 2
+        rows.append(run.row)
+        if args.robust:
             reports.append((jobs, run.report))
-        elif args.symbolic:
-            from repro.bench.table1 import run_table1_row_symbolic
-
-            rows.append(
-                run_table1_row_symbolic(jobs, params, kind=args.kind)
-            )
-        else:
-            rows.append(
-                run_table1_row(
-                    jobs, params, reach_engine=args.engine, kind=args.kind
-                )
-            )
     rendered = render_table1(rows)
     for jobs, run_report in reports:
         rendered += f"\n\nJ={jobs} {run_report.render()}"

@@ -21,21 +21,21 @@ recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis import _lump_solve_stages, _run_pipeline
-from repro.lumping import compositional_lump
+from repro.analysis import _lump_stage, _run_pipeline, _solve_stages
+from repro.lumping import MDModel
 from repro.matrixdiagram import md_stats
 from repro.models import TandemParams, build_tandem, tandem_md_model
-from repro.models.tandem import projected_event_model
 from repro.robust.budgets import Budget
 from repro.robust.checkpoint import scoped as checkpoint_scoped
 from repro.robust.report import RunReport
-from repro.statespace import reachable_bfs, reachable_mdd
-from repro.util import Stopwatch, Table, format_bytes, format_seconds
+from repro.statespace import symbolic_reachability
+from repro.statespace.events import project_event_model
+from repro.util import Table, format_bytes, format_seconds
 
 
 @dataclass
@@ -65,245 +65,123 @@ class Table1Row:
         )
 
 
-def run_table1_row(
-    jobs: int,
-    params: Optional[TandemParams] = None,
-    reach_engine: str = "bfs",
-    kind: str = "ordinary",
-) -> Table1Row:
-    """Run the full pipeline for one ``J`` and collect the row."""
-    if params is None:
-        params = TandemParams(jobs=jobs)
-    elif params.jobs != jobs:
-        raise ValueError("params.jobs disagrees with the jobs argument")
-    engines = {"bfs": reachable_bfs, "mdd": reachable_mdd}
-    if reach_engine not in engines:
-        raise ValueError(f"unknown reach engine {reach_engine!r}")
-    watch = Stopwatch()
-    with watch.phase("generation"):
-        compiled = build_tandem(params)
-        model, reach = _tandem_model(
-            compiled, engines[reach_engine](compiled.event_model), params
-        )
-    unlumped_stats = md_stats(model.md)
-
-    with watch.phase("lumping"):
-        result = compositional_lump(model, kind)
-    lumped_stats = md_stats(result.lumped.md)
-
-    return Table1Row(
-        jobs=jobs,
-        unlumped_overall=reach.num_states,
-        unlumped_level_sizes=list(reach.level_sizes()),
-        md_nodes_per_level=list(unlumped_stats.nodes_per_level),
-        lumped_overall=len(result.lumped.reachable),
-        lumped_level_sizes=list(result.lumped.md.level_sizes),
-        generation_seconds=watch.elapsed("generation"),
-        md_memory_bytes=unlumped_stats.memory_bytes,
-        lump_seconds=watch.elapsed("lumping"),
-        lumped_md_memory_bytes=lumped_stats.memory_bytes,
-    )
-
-
-def _tandem_model(compiled, reach, params: TandemParams):
-    """The tandem MD model over a reachable set, and that set.
-
-    Projects the event model onto the reachable substates; when the
-    projection shrank a level, the set is re-derived by BFS in the
-    projected coordinates (labels are preserved, so it is the same set).
-    Its own checkpoint scope keeps that BFS from aliasing the first
-    one's snapshots.
-    """
-    event_model = projected_event_model(compiled, reach)
-    if event_model.level_sizes() != compiled.event_model.level_sizes():
-        with checkpoint_scoped("projected"):
-            reach = reachable_bfs(event_model)
-    else:
-        reach.model = event_model
-    return tandem_md_model(event_model, params, reachable=reach), reach
-
-
-def run_table1_row_symbolic(
-    jobs: int,
-    params: Optional[TandemParams] = None,
-    strategy: str = "saturation",
-    kind: str = "ordinary",
-) -> Table1Row:
-    """Fully symbolic Table-1 row: the reachable set is never enumerated.
-
-    Uses MDD reachability (saturation by default) for the counts and
-    supports, and MDD level-mapping for the lumped state count, so the
-    pipeline scales to state spaces far beyond what explicit enumeration
-    can hold — the regime the paper's MD representation targets.
-    """
-    from repro.statespace.events import project_event_model
-    from repro.statespace.reachability import symbolic_reachability
-
-    if params is None:
-        params = TandemParams(jobs=jobs)
-    elif params.jobs != jobs:
-        raise ValueError("params.jobs disagrees with the jobs argument")
-    watch = Stopwatch()
-    with watch.phase("generation"):
-        compiled = build_tandem(params)
-        symbolic = symbolic_reachability(
-            compiled.event_model, strategy=strategy
-        )
-        supports = symbolic.level_supports()
-        event_model = project_event_model(compiled.event_model, supports)
-        model = tandem_md_model(event_model, params)
-    unlumped_stats = md_stats(model.md)
-
-    with watch.phase("lumping"):
-        result = compositional_lump(model, kind)
-    lumped_stats = md_stats(result.lumped.md)
-
-    # Lumped reachable count: map each original substate to its class
-    # (composing the support projection with the per-level partition).
-    class_vectors = [
-        partition.state_class_vector() for partition in result.partitions
-    ]
-    mappings = []
-    for level, support in enumerate(supports):
-        position = {substate: i for i, substate in enumerate(support)}
-        mappings.append(
-            {
-                substate: class_vectors[level][position[substate]]
-                for substate in support
-            }
-        )
-    lumped_overall = symbolic.mapped_count(
-        mappings, result.lumped.md.level_sizes
-    )
-
-    return Table1Row(
-        jobs=jobs,
-        unlumped_overall=symbolic.num_states,
-        unlumped_level_sizes=[len(s) for s in supports],
-        md_nodes_per_level=list(unlumped_stats.nodes_per_level),
-        lumped_overall=lumped_overall,
-        lumped_level_sizes=list(result.lumped.md.level_sizes),
-        generation_seconds=watch.elapsed("generation"),
-        md_memory_bytes=unlumped_stats.memory_bytes,
-        lump_seconds=watch.elapsed("lumping"),
-        lumped_md_memory_bytes=lumped_stats.memory_bytes,
-    )
-
-
 @dataclass
-class RobustTable1Run:
-    """A Table-1 row produced by the resilient pipeline.
+class Table1Run:
+    """A Table-1 row and the :class:`~repro.robust.report.RunReport` of
+    the run that produced it (stage timings, and with ``robust`` what
+    degraded and why).
 
-    Besides the row itself, carries the steady-state solution of the
-    lumped chain and the :class:`~repro.robust.report.RunReport` saying
-    which engines/solvers/levels degraded along the way.
+    ``stationary`` (the steady-state solution of the lumped chain) and
+    ``solve_method`` are set only by a ``robust`` run.
     """
 
     row: Table1Row
     report: RunReport
-    stationary: np.ndarray
-    solve_method: str
-    reach_engine: str
+    stationary: Optional[np.ndarray] = None
+    solve_method: Optional[str] = None
 
 
-def run_table1_row_robust(
+def run_table1_row(
     jobs: int,
     params: Optional[TandemParams] = None,
-    engines: Sequence[str] = ("mdd", "bfs"),
     kind: str = "ordinary",
+    *,
+    robust: bool = False,
     budget: Optional[Budget] = None,
     report: Optional[RunReport] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     supervised: bool = False,
     supervisor=None,
-) -> RobustTable1Run:
-    """The Table-1 pipeline with fallbacks, degradation, and a report.
+) -> Table1Run:
+    """Run the Table-1 pipeline for one ``J`` and collect the row.
 
-    Runs generation -> lumping -> steady-state solve end to end:
-    reachability falls back across ``engines`` (default MDD -> BFS),
-    then the lumping and solve stages of
-    :func:`~repro.analysis.lump_and_solve` with ``robust=True`` run on
-    the generated model — lumping skips levels that fail (identity
-    partition) and the solve walks the solver fallback chain.  Every
-    degradation is recorded in the returned report, so the driver can
-    print what degraded and why.
+    Generation is symbolic, as in the paper's state-space generator:
+    MDD saturation gives the reachable set, its per-level supports and
+    count; the event model is projected onto the supports and the MD
+    built over them; the lumped count comes from mapping the MDD through
+    each level's class vector.  No unlumped state is ever listed, so the
+    pipeline reaches J=3 (15M states) at the paper's configuration.
 
-    With ``checkpoint_dir`` set, the reachability/refinement/solver loops
+    With ``robust=True`` lumping skips levels that fail (identity
+    partition), and the lumped chain, restricted to the mapped reachable
+    set, is solved through the solver fallback chain (see
+    :func:`~repro.analysis.lump_and_solve`); every degradation is
+    recorded in the returned report.  A generation failure fails the
+    ``generation`` stage.
+
+    With ``checkpoint_dir`` set, the saturation/refinement/solver loops
     write crash-safe snapshots (see :mod:`repro.robust.checkpoint`);
     ``resume=True`` continues a killed or budget-stopped run from them.
 
-    With ``supervised=True`` the whole pipeline runs in a
-    watchdog-supervised child process, restarted from the latest
+    With ``supervised=True`` (implies ``robust``) the whole pipeline runs
+    in a watchdog-supervised child process, restarted from the latest
     checkpoint on crash/hang/OOM with progressive degradation — see
     :mod:`repro.robust.supervisor`.  ``supervisor`` is an optional
     :class:`~repro.robust.supervisor.SupervisorConfig`.
     """
-    from repro.robust.fallback import reachable_with_fallback
-
     if params is None:
         params = TandemParams(jobs=jobs)
     elif params.jobs != jobs:
         raise ValueError("params.jobs disagrees with the jobs argument")
+    robust = robust or supervised
 
-    def run_row(ctx) -> RobustTable1Run:
+    def run_row(ctx) -> Table1Run:
         report = ctx.report
-        with report.stage("generation") as stage, checkpoint_scoped(
-            "generation"
-        ):
+        with report.stage("generation"), checkpoint_scoped("generation"):
             compiled = build_tandem(params)
-            engine_run = reachable_with_fallback(
-                compiled.event_model, engines=engines
-            )
-            for attempt in engine_run.attempts:
-                report.record_attempt(
-                    stage="generation",
-                    name=attempt.engine,
-                    succeeded=attempt.succeeded,
-                    seconds=attempt.seconds,
-                    error=attempt.error,
-                )
-            if engine_run.degraded:
-                stage.status = "degraded"
-                stage.detail = f"reachability via {engine_run.engine!r}"
-                report.record_fallback(
-                    stage="generation",
-                    requested=engine_run.requested_engine,
-                    used=engine_run.engine,
-                    reason="; ".join(
-                        a.error for a in engine_run.attempts if a.error
-                    )
-                    or "earlier engines failed",
-                )
-            model, reach = _tandem_model(compiled, engine_run.result, params)
+            symbolic = symbolic_reachability(compiled.event_model)
+            supports = symbolic.level_supports()
+            event_model = project_event_model(compiled.event_model, supports)
+            model = tandem_md_model(event_model, params)
         unlumped_stats = md_stats(model.md)
-        solution = _lump_solve_stages(model, ctx, robust=True, kind=kind)
-        result = solution.lumping
-        lumped_stats = md_stats(result.lumped.md)
+        result = _lump_stage(model, ctx, kind=kind)
+        lumped_md = result.lumped.md
+        lumped_stats = md_stats(lumped_md)
+        # The lumped reachable set: each original substate goes to its
+        # class (the support position composed with the partition).
+        mappings = [
+            dict(zip(support, classes.tolist()))
+            for support, classes in zip(supports, result.class_vectors())
+        ]
+        lumped_set = symbolic.mapped(mappings, lumped_md.level_sizes)
         row = Table1Row(
             jobs=jobs,
-            unlumped_overall=reach.num_states,
-            unlumped_level_sizes=list(reach.level_sizes()),
+            unlumped_overall=symbolic.num_states,
+            unlumped_level_sizes=[len(support) for support in supports],
             md_nodes_per_level=list(unlumped_stats.nodes_per_level),
-            lumped_overall=len(result.lumped.reachable),
-            lumped_level_sizes=list(result.lumped.md.level_sizes),
+            lumped_overall=lumped_set.num_states,
+            lumped_level_sizes=list(lumped_md.level_sizes),
             generation_seconds=report.stage_seconds("generation"),
             md_memory_bytes=unlumped_stats.memory_bytes,
             lump_seconds=report.stage_seconds("lumping"),
             lumped_md_memory_bytes=lumped_stats.memory_bytes,
         )
-        return RobustTable1Run(
+        if not robust:
+            return Table1Run(row=row, report=report)
+        lumped = result.lumped
+        restricted = replace(
+            result,
+            lumped=MDModel(
+                lumped_md,
+                level_rewards=lumped.level_rewards,
+                level_initial=lumped.level_initial,
+                reward_combiner=lumped.reward_combiner,
+                reachable=lumped_set.potential_indices(),
+            ),
+        )
+        solution = _solve_stages(model, restricted, ctx, robust=True, kind=kind)
+        return Table1Run(
             row=row,
             report=report,
             stationary=solution.stationary,
             solve_method=solution.solve_method,
-            reach_engine=engine_run.engine,
         )
 
     return _run_pipeline(
         run_row,
         f"table1 jobs={jobs} kind={kind} params={params}",
-        robust=True,
+        robust=robust,
         supervised=supervised,
         supervisor=supervisor,
         budget=budget,

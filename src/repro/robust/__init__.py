@@ -9,8 +9,8 @@ degradation first-class across the pipeline:
 * :mod:`repro.robust.faults` — a deterministic, seedable fault injector
   (context manager or ``REPRO_FAULTS`` env var) so every degradation
   path is testable in CI;
-* :mod:`repro.robust.fallback` — solver and reachability-engine fallback
-  chains with per-attempt diagnostics and warm starts;
+* :mod:`repro.robust.fallback` — the solver fallback chain with
+  per-attempt diagnostics and warm starts;
 * :mod:`repro.robust.checkpoint` — crash-safe checkpoint/resume: atomic,
   sha256-verified snapshots of the reachability / refinement / solver
   loops, so a killed or budget-stopped run continues instead of
@@ -82,11 +82,8 @@ _LAZY_EXPORTS = {
     "revalidate_cached": "certify",
     "DEFAULT_SOLVER_CHAIN": "fallback",
     "ITERATIVE_METHODS": "fallback",
-    "EngineAttempt": "fallback",
-    "EngineFallbackResult": "fallback",
     "FallbackSolution": "fallback",
     "SolveAttempt": "fallback",
-    "reachable_with_fallback": "fallback",
     "solve_with_fallback": "fallback",
     "Heartbeat": "heartbeat",
     "HeartbeatMonitor": "heartbeat",
@@ -153,10 +150,7 @@ __all__ = [
     "ITERATIVE_METHODS",
     "SolveAttempt",
     "FallbackSolution",
-    "EngineAttempt",
-    "EngineFallbackResult",
     "solve_with_fallback",
-    "reachable_with_fallback",
     "Heartbeat",
     "HeartbeatMonitor",
     "RetryPolicy",

@@ -1,4 +1,4 @@
-"""Solver and reachability-engine fallback chains.
+"""The solver fallback chain.
 
 :func:`solve_with_fallback` walks a chain of steady-state methods
 (``direct -> gauss-seidel -> jacobi -> power`` by default), warm-starting
@@ -9,11 +9,7 @@ degradation step motivated by approximate-lumping work such as Erreygers
 & De Bock).  The returned :class:`FallbackSolution` records which method
 won plus per-attempt diagnostics.
 
-:func:`reachable_with_fallback` does the same for state-space generation
-(``mdd -> bfs`` by default): if the symbolic engine fails, the explicit
-engine produces the identical state space, just with different cost.
-
-Both propagate :class:`~repro.robust.budgets.BudgetExceeded` immediately:
+It propagates :class:`~repro.robust.budgets.BudgetExceeded` immediately:
 a budget is the caller's intent to *stop*, not something to route around.
 """
 
@@ -21,20 +17,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError, SolverError, StateSpaceError
+from repro.errors import SolverError
 from repro.markov.ctmc import CTMC
 from repro.markov.solvers import _METHODS, SteadyStateResult
 from repro.robust.budgets import BudgetExceeded
-from repro.statespace.reachability import (
-    ReachabilityResult,
-    reachable_bfs,
-    reachable_mdd,
-    reachable_saturation,
-)
 
 #: The default solver chain: exact first, then decreasingly demanding
 #: iterative methods.
@@ -211,100 +201,3 @@ def solve_with_fallback(
     error.attempts = attempts
     raise error
 
-
-_ENGINES = {
-    "mdd": reachable_mdd,
-    "bfs": reachable_bfs,
-    "saturation": reachable_saturation,
-}
-
-#: The default engine chain: symbolic first, explicit as the safety net.
-DEFAULT_ENGINE_CHAIN: Tuple[str, ...] = ("mdd", "bfs")
-
-
-@dataclass
-class EngineAttempt:
-    """Diagnostics of one reachability-engine attempt."""
-
-    engine: str
-    succeeded: bool
-    seconds: float
-    error: Optional[str] = None
-
-
-@dataclass
-class EngineFallbackResult:
-    """A reachable state space plus the engine attempts that led to it."""
-
-    result: ReachabilityResult
-    attempts: List[EngineAttempt] = field(default_factory=list)
-    requested_engine: str = ""
-
-    @property
-    def engine(self) -> str:
-        """The engine that produced the state space."""
-        return self.result.engine
-
-    @property
-    def degraded(self) -> bool:
-        """Whether a non-preferred engine had to be used."""
-        return self.engine != self.requested_engine
-
-
-def reachable_with_fallback(
-    model: Any,
-    engines: Sequence[str] = DEFAULT_ENGINE_CHAIN,
-    **engine_kwargs: Any,
-) -> EngineFallbackResult:
-    """Generate the reachable state space, falling back across engines.
-
-    Both engines compute the same set, so falling from ``mdd`` to ``bfs``
-    loses no precision — only the symbolic representation.  Engine
-    failures (any :class:`~repro.errors.ReproError` except
-    :class:`~repro.robust.budgets.BudgetExceeded`, plus ``MemoryError``)
-    trigger the next engine; budget exhaustion propagates.
-    """
-    if not engines:
-        raise StateSpaceError("reachability engine chain is empty")
-    for engine in engines:
-        if engine not in _ENGINES:
-            raise StateSpaceError(
-                f"unknown engine {engine!r} in fallback chain; "
-                f"choose from {sorted(_ENGINES)}"
-            )
-    attempts: List[EngineAttempt] = []
-    for engine in engines:
-        start = time.perf_counter()
-        try:
-            result = _ENGINES[engine](model, **engine_kwargs)
-        except BudgetExceeded:
-            raise
-        except (ReproError, MemoryError) as exc:
-            attempts.append(
-                EngineAttempt(
-                    engine=engine,
-                    succeeded=False,
-                    seconds=time.perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        attempts.append(
-            EngineAttempt(
-                engine=engine,
-                succeeded=True,
-                seconds=time.perf_counter() - start,
-            )
-        )
-        return EngineFallbackResult(
-            result=result, attempts=attempts, requested_engine=engines[0]
-        )
-
-    summary = "; ".join(
-        f"{a.engine}: {a.error}" for a in attempts if not a.succeeded
-    )
-    error = StateSpaceError(
-        f"all {len(attempts)} reachability engines failed ({summary})"
-    )
-    error.attempts = attempts
-    raise error

@@ -66,7 +66,7 @@ lexical::
 or ambient via the ``REPRO_FAULTS`` environment variable (read once at
 first use; tests that mutate the environment call :func:`reload_env`)::
 
-    REPRO_FAULTS="solver.direct,reachability.mdd:1-2" python -m repro.bench
+    REPRO_FAULTS="solver.direct,lumping.level:1" python -m repro.bench --robust
 
 The spec grammar is ``site[:when][@effect]`` comma-separated, where
 ``when`` is a call number (``3``), an inclusive range (``1-2``), a

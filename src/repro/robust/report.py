@@ -2,10 +2,10 @@
 
 A :class:`RunReport` is threaded through the one lumping-and-solve
 pipeline that :func:`repro.analysis.lump_and_solve` (plain or robust)
-and :func:`repro.bench.table1.run_table1_row_robust` both run; every
+and :func:`repro.bench.table1.run_table1_row` both run; every
 solution carries one.  Every stage records
-its wall-clock time and status; every fallback taken (solver rung, engine
-switch, skipped lumping level) records what was requested, what actually
+its wall-clock time and status; every fallback taken (solver rung,
+skipped lumping level) records what was requested, what actually
 ran, and the triggering error — so a production operator can tell a clean
 run from a degraded-but-successful one without re-running anything.
 """
@@ -93,7 +93,7 @@ class FallbackEvent:
 
 @dataclass
 class AttemptReport:
-    """One attempt inside a fallback chain (solver rung, engine try)."""
+    """One attempt inside a fallback chain (a solver rung)."""
 
     stage: str
     name: str

@@ -152,7 +152,7 @@ class AttemptContext:
     ``resume`` is set, record into ``report``, and apply the
     ``degradation`` rung's knobs (lumping degrade, solver chain).
     :func:`repro.analysis.lump_and_solve` and
-    :func:`repro.bench.table1.run_table1_row_robust` read all of it in
+    :func:`repro.bench.table1.run_table1_row` read all of it in
     one body, which enters the budget and the checkpointer itself; run
     in process, they build one context from their own arguments, with
     no checkpoint directory or budget when none was given.

@@ -201,43 +201,57 @@ def reachable_mdd(
 
 @dataclass
 class SymbolicStateSpace:
-    """A reachable set kept symbolic (never enumerated).
+    """A state set kept symbolic (never enumerated).
 
     Supports the queries the Table-1 pipeline needs at scales where
     materializing states is impossible: exact count, per-level supports,
-    and projection through per-level substate maps.
+    and the image under per-level substate maps.  ``model`` is the event
+    model the set was generated from (``None`` for a mapped image).
     """
 
-    model: EventModel
+    model: Optional[EventModel]
     manager: MDDManager
     node: int
     engine: str
 
     @property
     def num_states(self) -> int:
-        """Exact reachable state count (via MDD counting)."""
+        """Exact state count (via MDD counting)."""
         return self.manager.count(self.node)
 
     def level_supports(self) -> List[List[int]]:
-        """Per level, the substates occurring in some reachable state."""
+        """Per level, the substates occurring in some member state."""
         return [
             self.manager.level_support(self.node, level)
-            for level in range(1, self.model.num_levels + 1)
+            for level in range(1, self.manager.num_levels + 1)
         ]
 
     def level_sizes(self) -> Tuple[int, ...]:
-        """Reachable projection sizes per level."""
+        """Projection sizes per level."""
         return tuple(len(support) for support in self.level_supports())
 
-    def mapped_count(
+    def mapped(
         self, mappings, target_sizes: Sequence[int]
-    ) -> int:
-        """Number of distinct images of the set under per-level substate
-        maps — e.g. the lumped reachable count when the maps send each
-        substate to its class index."""
+    ) -> "SymbolicStateSpace":
+        """The image of the set under per-level substate maps, over
+        ``target_sizes`` — e.g. the lumped reachable set when the maps
+        send each substate to its class index."""
         target = MDDManager(tuple(target_sizes))
-        mapped = self.manager.map_levels(self.node, mappings, target)
-        return target.count(mapped)
+        node = self.manager.map_levels(self.node, mappings, target)
+        return SymbolicStateSpace(
+            model=None, manager=target, node=node, engine=self.engine
+        )
+
+    def potential_indices(self) -> List[int]:
+        """Sorted mixed-radix flat indices of the member states within the
+        product space (for restricting an MD model to the set), encoded
+        in one step.  Enumerates the set, so call it on small sets."""
+        digits = np.asarray(
+            list(self.manager.tuples(self.node)), dtype=np.int64
+        ).reshape(-1, self.manager.num_levels)
+        return np.ravel_multi_index(
+            digits.T, self.manager.level_sizes
+        ).tolist()
 
 
 def symbolic_reachability(

@@ -1,6 +1,6 @@
 """Small shared utilities: timing, byte accounting, and table rendering."""
 
-from repro.util.timing import Stopwatch, timed
+from repro.util.timing import timed
 from repro.util.tables import Table, format_bytes, format_seconds
 from repro.util.numeric import (
     close,
@@ -10,7 +10,6 @@ from repro.util.numeric import (
 )
 
 __all__ = [
-    "Stopwatch",
     "timed",
     "Table",
     "format_bytes",

@@ -1,56 +1,15 @@
-"""Wall-clock timing helpers used by the benchmark harness.
+"""Wall-clock timing of a block.
 
-The paper's Table 1 reports state-space generation time and lumping time
-separately; :class:`Stopwatch` lets the harness accumulate named phases and
-report them in the same breakdown.
+:func:`timed` measures one block; the Table-1 harness reads its
+generation and lumping times from the run report's stage timings
+(:meth:`repro.robust.report.RunReport.stage`).
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator
-
-
-class Stopwatch:
-    """Accumulates wall-clock time into named phases.
-
-    >>> sw = Stopwatch()
-    >>> with sw.phase("generation"):
-    ...     pass
-    >>> sw.total() >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._elapsed: Dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time the enclosed block and add it to phase ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._elapsed[name] = self._elapsed.get(name, 0.0) + (
-                time.perf_counter() - start
-            )
-
-    def elapsed(self, name: str) -> float:
-        """Total seconds accumulated in phase ``name`` (0.0 if never timed)."""
-        return self._elapsed.get(name, 0.0)
-
-    def total(self) -> float:
-        """Sum of all phases in seconds."""
-        return sum(self._elapsed.values())
-
-    def phases(self) -> Dict[str, float]:
-        """A copy of the phase -> seconds mapping."""
-        return dict(self._elapsed)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v:.3f}s" for k, v in self._elapsed.items())
-        return f"Stopwatch({inner})"
+from typing import Iterator
 
 
 @contextmanager

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import lump_and_solve
-from repro.bench.table1 import run_table1_row_robust
+from repro.bench.table1 import run_table1_row
 from repro.lumping import compositional_lump
 from repro.lumping.refinement import RefinementStats, comp_lumping
 from repro.markov.ctmc import CTMC
@@ -420,16 +420,16 @@ class TestPipelineResume:
         deep inside lumping for this model size.
         """
         params = TandemParams(jobs=1, **SMALL)
-        clean = run_table1_row_robust(1, params)
+        clean = run_table1_row(1, params, robust=True)
         ck_dir = str(tmp_path)
         with pytest.raises(BudgetExceeded):
             with inject_faults("budget:200+"), Budget(
                 max_iterations=10**9
             ):
-                run_table1_row_robust(1, params, checkpoint_dir=ck_dir)
+                run_table1_row(1, params, robust=True, checkpoint_dir=ck_dir)
         assert os.path.exists(os.path.join(ck_dir, MANIFEST_NAME))
-        resumed = run_table1_row_robust(
-            1, params, checkpoint_dir=ck_dir, resume=True
+        resumed = run_table1_row(
+            1, params, robust=True, checkpoint_dir=ck_dir, resume=True
         )
         assert resumed.row.unlumped_overall == clean.row.unlumped_overall
         assert resumed.row.lumped_overall == clean.row.lumped_overall
@@ -445,9 +445,10 @@ class TestPipelineResume:
         params = TandemParams(jobs=1, **SMALL)
         ck_dir = str(tmp_path)
         with pytest.raises(BudgetExceeded):
-            run_table1_row_robust(
+            run_table1_row(
                 1,
                 params,
+                robust=True,
                 budget=Budget(max_iterations=5),
                 checkpoint_dir=ck_dir,
             )
@@ -459,18 +460,20 @@ class TestPipelineResume:
     ):
         """The ISSUE's re-run-with-larger-budget contract."""
         params = TandemParams(jobs=1, **SMALL)
-        clean = run_table1_row_robust(1, params)
+        clean = run_table1_row(1, params, robust=True)
         ck_dir = str(tmp_path)
         with pytest.raises(BudgetExceeded):
-            run_table1_row_robust(
+            run_table1_row(
                 1,
                 params,
+                robust=True,
                 budget=Budget(max_iterations=5),
                 checkpoint_dir=ck_dir,
             )
-        resumed = run_table1_row_robust(
+        resumed = run_table1_row(
             1,
             params,
+            robust=True,
             budget=Budget(max_iterations=10**9),
             checkpoint_dir=ck_dir,
             resume=True,
@@ -479,19 +482,19 @@ class TestPipelineResume:
 
     def test_corruption_between_runs_recorded_and_recovered(self, tmp_path):
         params = TandemParams(jobs=1, **SMALL)
-        clean = run_table1_row_robust(1, params)
+        clean = run_table1_row(1, params, robust=True)
         ck_dir = str(tmp_path)
         with pytest.raises(BudgetExceeded):
             with inject_faults("budget:200+"), Budget(
                 max_iterations=10**9
             ):
-                run_table1_row_robust(1, params, checkpoint_dir=ck_dir)
+                run_table1_row(1, params, robust=True, checkpoint_dir=ck_dir)
         # Corrupt every snapshot on disk.
         for path in tmp_path.iterdir():
             if path.name != MANIFEST_NAME:
                 path.write_bytes(path.read_bytes()[:-2] + b"xx")
-        resumed = run_table1_row_robust(
-            1, params, checkpoint_dir=ck_dir, resume=True
+        resumed = run_table1_row(
+            1, params, robust=True, checkpoint_dir=ck_dir, resume=True
         )
         # Degrades to a fresh start without raising, records the events,
         # and still produces the clean answer.

@@ -22,7 +22,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from repro.bench.table1 import run_table1_row_robust  # noqa: E402
+from repro.bench.table1 import run_table1_row  # noqa: E402
 from repro.models import TandemParams  # noqa: E402
 from repro.robust.budgets import Budget, BudgetExceeded  # noqa: E402
 from repro.robust.faults import FaultInjector, FaultRule, inject_faults  # noqa: E402
@@ -42,7 +42,7 @@ def _baseline():
         counter = FaultRule("budget", fail_on=frozenset())
         injector = FaultInjector([counter])
         with injector, Budget(max_iterations=10**9):
-            clean = run_table1_row_robust(1, PARAMS)
+            clean = run_table1_row(1, PARAMS, robust=True)
         _BASELINE["clean"] = clean
         _BASELINE["total_calls"] = injector.call_count("budget")
     return _BASELINE
@@ -73,9 +73,9 @@ def test_kill_anywhere_then_resume_matches_clean(data):
             with inject_faults(f"budget:{site}+"), Budget(
                 max_iterations=10**9
             ):
-                run_table1_row_robust(1, PARAMS, checkpoint_dir=ck_dir)
-        resumed = run_table1_row_robust(
-            1, PARAMS, checkpoint_dir=ck_dir, resume=True
+                run_table1_row(1, PARAMS, robust=True, checkpoint_dir=ck_dir)
+        resumed = run_table1_row(
+            1, PARAMS, robust=True, checkpoint_dir=ck_dir, resume=True
         )
     assert resumed.row.unlumped_overall == clean.row.unlumped_overall
     assert resumed.row.lumped_overall == clean.row.lumped_overall

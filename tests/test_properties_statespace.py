@@ -102,4 +102,4 @@ def test_mapped_count_matches_explicit_projection(model, seed):
         tuple(mappings[level][s] for level, s in enumerate(state))
         for state in reachable_bfs(model).states
     }
-    assert symbolic.mapped_count(mappings, target_sizes) == len(explicit)
+    assert symbolic.mapped(mappings, target_sizes).num_states == len(explicit)

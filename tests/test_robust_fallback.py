@@ -1,18 +1,16 @@
-"""Solver and engine fallback chains: every rung, warm starts, relaxation."""
+"""The solver fallback chain: every rung, warm starts, relaxation."""
 
 import numpy as np
 import pytest
 
-from repro.errors import SolverError, StateSpaceError
+from repro.errors import SolverError
 from repro.markov.ctmc import CTMC
 from repro.markov.solvers import steady_state_direct
 from repro.robust.fallback import (
     DEFAULT_SOLVER_CHAIN,
-    reachable_with_fallback,
     solve_with_fallback,
 )
 from repro.robust.faults import inject_faults
-from repro.statespace import reachable_bfs
 
 
 @pytest.fixture(scope="module")
@@ -153,48 +151,3 @@ def test_default_chain_shape():
         "jacobi",
         "power",
     )
-
-
-# ----------------------------------------------------------------------
-# reachability engine fallback
-# ----------------------------------------------------------------------
-
-
-def test_mdd_engine_falls_back_to_bfs(small_tandem):
-    event_model = small_tandem["event_model"]
-    expected = reachable_bfs(event_model)
-    with inject_faults("reachability.mdd"):
-        run = reachable_with_fallback(event_model, engines=("mdd", "bfs"))
-    assert run.engine == "bfs"
-    assert run.degraded
-    assert run.requested_engine == "mdd"
-    assert [a.engine for a in run.attempts] == ["mdd", "bfs"]
-    assert not run.attempts[0].succeeded
-    # The fallback engine produces the identical state space.
-    assert run.result.states == expected.states
-
-
-def test_all_engines_failing_raises_with_attempts(small_tandem):
-    with inject_faults("reachability.mdd,reachability.bfs"):
-        with pytest.raises(StateSpaceError) as excinfo:
-            reachable_with_fallback(
-                small_tandem["event_model"], engines=("mdd", "bfs")
-            )
-    assert len(excinfo.value.attempts) == 2
-
-
-def test_bfs_only_chain(small_tandem):
-    run = reachable_with_fallback(
-        small_tandem["event_model"], engines=("bfs",)
-    )
-    assert run.engine == "bfs"
-    assert not run.degraded
-
-
-def test_unknown_engine_rejected(small_tandem):
-    with pytest.raises(StateSpaceError):
-        reachable_with_fallback(
-            small_tandem["event_model"], engines=("mdd", "dfs")
-        )
-    with pytest.raises(StateSpaceError):
-        reachable_with_fallback(small_tandem["event_model"], engines=())

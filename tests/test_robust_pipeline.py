@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from repro.analysis import lump_and_solve
-from repro.bench.table1 import run_table1_row_robust
+from repro.bench.table1 import run_table1_row
 from repro.lumping import compositional_lump
 from repro.markov import steady_state
 from repro.models import TandemParams
 from repro.robust.budgets import Budget, BudgetExceeded
-from repro.robust.faults import InjectedLumpingFault, inject_faults
+from repro.robust.faults import (
+    InjectedLumpingFault,
+    InjectedStateSpaceFault,
+    inject_faults,
+)
 from repro.robust.report import RunReport
 
 SMALL = dict(cube_dim=2, msmq_servers=2, msmq_queues=2)
@@ -130,42 +134,54 @@ def tandem_params():
 
 @pytest.fixture(scope="module")
 def clean_run(tandem_params):
-    return run_table1_row_robust(1, tandem_params, engines=("bfs",))
+    return run_table1_row(1, tandem_params, robust=True)
+
+
+def test_table1_row_solves_like_lump_and_solve(tandem_params, clean_run):
+    from repro.models import build_tandem, tandem_md_model
+    from repro.models.tandem import projected_event_model
+    from repro.statespace import reachable_bfs
+
+    compiled = build_tandem(tandem_params)
+    event_model = projected_event_model(
+        compiled, reachable_bfs(compiled.event_model)
+    )
+    model = tandem_md_model(
+        event_model, tandem_params, reachable=reachable_bfs(event_model)
+    )
+    solution = lump_and_solve(model, robust=True)
+    assert np.array_equal(clean_run.stationary, solution.stationary)
+    assert clean_run.solve_method == solution.solve_method
 
 
 def test_faulted_pipeline_completes_and_matches(tandem_params, clean_run):
-    """Direct solver AND MDD engine down: pipeline still completes, the
-    distribution matches the unfaulted run to 1e-8, and the report
-    records both fallbacks."""
-    with inject_faults("solver.direct,reachability.mdd"):
-        run = run_table1_row_robust(
-            1, tandem_params, engines=("mdd", "bfs")
-        )
-    assert run.reach_engine == "bfs"
+    """Direct solver down: pipeline still completes, the distribution
+    matches the unfaulted run to 1e-8, and the report records the
+    fallback."""
+    with inject_faults("solver.direct"):
+        run = run_table1_row(1, tandem_params, robust=True)
     assert run.solve_method == "gauss-seidel"
     np.testing.assert_allclose(
         run.stationary, clean_run.stationary, atol=1e-8
     )
     stages_with_fallbacks = {f.stage for f in run.report.fallbacks}
-    assert {"generation", "solve"} <= stages_with_fallbacks
+    assert stages_with_fallbacks == {"solve"}
     assert run.report.degraded
-    # The row itself is unaffected by which engine/solver produced it.
+    # The row itself is unaffected by which solver produced it.
     assert run.row.unlumped_overall == clean_run.row.unlumped_overall
     assert run.row.lumped_overall == clean_run.row.lumped_overall
 
 
 def test_pipeline_report_renders_and_serializes(tandem_params):
-    with inject_faults("solver.direct,reachability.mdd"):
-        run = run_table1_row_robust(
-            1, tandem_params, engines=("mdd", "bfs")
-        )
+    with inject_faults("solver.direct"):
+        run = run_table1_row(1, tandem_params, robust=True)
     rendered = run.report.render()
     assert "DEGRADED" in rendered
-    assert "mdd -> bfs" in rendered
+    assert "direct -> gauss-seidel" in rendered
     assert "stage generation" in rendered
     as_dict = run.report.to_dict()
     assert as_dict["degraded"] is True
-    assert len(as_dict["fallbacks"]) >= 2
+    assert len(as_dict["fallbacks"]) >= 1
     assert {s["name"] for s in as_dict["stages"]} == {
         "generation",
         "lumping",
@@ -177,15 +193,31 @@ def test_budget_exhaustion_propagates_from_pipeline(tandem_params):
     """Budgets are a stop signal, not something fallbacks route around."""
     report = RunReport()
     with pytest.raises(BudgetExceeded):
-        run_table1_row_robust(
+        run_table1_row(
             1,
             tandem_params,
-            engines=("bfs",),
+            robust=True,
             budget=Budget(max_states=3),
             report=report,
         )
     assert report.stages[0].name == "generation"
     assert report.stages[0].status == "failed"
+
+
+def test_generation_failure_fails_the_stage_without_fallback(
+    tandem_params,
+):
+    """Generation has no fallback engine: an MDD failure fails the
+    generation stage and propagates."""
+    report = RunReport()
+    with inject_faults("reachability.mdd"):
+        with pytest.raises(InjectedStateSpaceFault):
+            run_table1_row(1, tandem_params, robust=True, report=report)
+    assert [(s.name, s.status) for s in report.stages] == [
+        ("generation", "failed")
+    ]
+    assert report.fallbacks == []
+    assert report.attempts == []
 
 
 def test_clean_pipeline_report_is_clean(clean_run):
@@ -197,8 +229,8 @@ def test_clean_pipeline_report_is_clean(clean_run):
 
 
 # ----------------------------------------------------------------------
-# one pipeline: the plain path honours its arguments, and the Table-1
-# row solves exactly like lump_and_solve
+# one pipeline: the plain path honours its arguments (the Table-1 row
+# solving exactly like lump_and_solve is in test_bench_harness.py)
 # ----------------------------------------------------------------------
 
 #: Direct down, and every iterative rung fails once at the requested
@@ -227,24 +259,10 @@ def test_table1_row_records_relaxed_tolerance_and_solver_note(
     tandem_params,
 ):
     with inject_faults(RELAXED_ONLY):
-        run = run_table1_row_robust(1, tandem_params, engines=("bfs",))
+        run = run_table1_row(1, tandem_params, robust=True)
     [fallback] = run.report.fallbacks_for("solve")
     assert "tol relaxed" in fallback.used
     assert any(
         note.startswith(f"solver note ({run.solve_method})")
         for note in run.report.notes
     )
-
-
-def test_table1_row_solves_like_lump_and_solve(tandem_params, clean_run):
-    from repro.bench.table1 import _tandem_model
-    from repro.models import build_tandem
-    from repro.statespace import reachable_bfs
-
-    compiled = build_tandem(tandem_params)
-    model, _ = _tandem_model(
-        compiled, reachable_bfs(compiled.event_model), tandem_params
-    )
-    solution = lump_and_solve(model, robust=True)
-    assert np.array_equal(clean_run.stationary, solution.stationary)
-    assert clean_run.solve_method == solution.solve_method

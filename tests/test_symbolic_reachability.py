@@ -1,5 +1,6 @@
 """Tests for the fully symbolic reachability path (no state enumeration)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import StateSpaceError
@@ -56,7 +57,7 @@ class TestSymbolicStateSpace:
         ]
         sizes = symbolic.model.level_sizes()
         assert (
-            symbolic.mapped_count(identity_maps, sizes)
+            symbolic.mapped(identity_maps, sizes).num_states
             == symbolic.num_states
         )
 
@@ -66,7 +67,56 @@ class TestSymbolicStateSpace:
             {s: 0 for s in support}
             for support in symbolic.level_supports()
         ]
-        assert symbolic.mapped_count(collapse, [1, 1, 1]) == 1
+        assert symbolic.mapped(collapse, [1, 1, 1]).num_states == 1
+
+    def test_mapped_potential_indices_match_explicit(self, tandem_pair):
+        explicit, symbolic = tandem_pair
+        halve = [
+            {s: s // 2 for s in support}
+            for support in symbolic.level_supports()
+        ]
+        sizes = [(size + 1) // 2 for size in symbolic.model.level_sizes()]
+        mapped = symbolic.mapped(halve, sizes)
+        expected = sorted(
+            {
+                np.ravel_multi_index(
+                    tuple(halve[level][s] for level, s in enumerate(state)),
+                    sizes,
+                )
+                for state in explicit.states
+            }
+        )
+        assert mapped.potential_indices() == expected
+        assert mapped.num_states == len(expected)
+        assert mapped.model is None
+
+
+class TestSymbolicTable1:
+    def test_symbolic_row_matches_explicit(self):
+        """The Table-1 row (symbolic generation, MDD level mapping) equals
+        the sizes of an explicit BFS model lumped level by level."""
+        from repro.bench.table1 import run_table1_row
+        from repro.lumping import compositional_lump
+        from repro.matrixdiagram import md_stats
+        from repro.models import tandem_md_model
+        from repro.models.tandem import projected_event_model
+
+        params = TandemParams(jobs=1, cube_dim=2, msmq_servers=2, msmq_queues=2)
+        symbolic = run_table1_row(1, params).row
+        compiled = build_tandem(params)
+        event_model = projected_event_model(
+            compiled, reachable_bfs(compiled.event_model)
+        )
+        reach = reachable_bfs(event_model)
+        model = tandem_md_model(event_model, params, reachable=reach)
+        lumped = compositional_lump(model).lumped
+        assert symbolic.unlumped_overall == reach.num_states
+        assert symbolic.lumped_overall == len(lumped.reachable)
+        assert symbolic.unlumped_level_sizes == list(reach.level_sizes())
+        assert symbolic.lumped_level_sizes == list(lumped.md.level_sizes)
+        assert symbolic.md_nodes_per_level == list(
+            md_stats(model.md).nodes_per_level
+        )
 
 
 class TestMapLevels:
@@ -99,17 +149,3 @@ class TestMapLevels:
         node = source.from_tuples([(0, 0)])
         with pytest.raises(StateSpaceError):
             source.map_levels(node, [{0: 0}], MDDManager((2, 2)))
-
-
-class TestSymbolicTable1:
-    def test_symbolic_row_matches_explicit(self):
-        from repro.bench.table1 import run_table1_row, run_table1_row_symbolic
-
-        params = dict(cube_dim=2, msmq_servers=2, msmq_queues=2)
-        explicit = run_table1_row(1, TandemParams(jobs=1, **params))
-        symbolic = run_table1_row_symbolic(1, TandemParams(jobs=1, **params))
-        assert symbolic.unlumped_overall == explicit.unlumped_overall
-        assert symbolic.lumped_overall == explicit.lumped_overall
-        assert symbolic.unlumped_level_sizes == explicit.unlumped_level_sizes
-        assert symbolic.lumped_level_sizes == explicit.lumped_level_sizes
-        assert symbolic.md_nodes_per_level == explicit.md_nodes_per_level

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.util import (
-    Stopwatch,
     Table,
     close,
     format_bytes,
@@ -99,18 +98,6 @@ class TestTable:
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw.phase("a"):
-            pass
-        with sw.phase("a"):
-            pass
-        assert sw.elapsed("a") >= 0
-        assert sw.total() == pytest.approx(sum(sw.phases().values()))
-
-    def test_stopwatch_unknown_phase(self):
-        assert Stopwatch().elapsed("nope") == 0.0
-
     def test_timed_measures(self):
         with timed() as t:
             time.sleep(0.01)

@@ -62,7 +62,7 @@ class UnseededRandomness(Rule):
                     ctx,
                     node,
                     "raw time.time() read outside util/timing.py and the "
-                    "budget clock; use repro.util.timing.Stopwatch/timed "
+                    "budget clock; use repro.util.timing.timed "
                     "or the budget hooks so timing has one source of truth",
                 )
             return
