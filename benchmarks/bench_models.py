@@ -1,11 +1,16 @@
 """Model pipeline benchmarks (Figures 4 and 5: the MSMQ and hypercube
-subsystems) — compile, reachability (explicit vs symbolic), MD build.
+subsystems) — compile, reachability (explicit BFS vs saturation), MD
+build.
 """
 
 import hashlib
 
 from repro.models import TandemParams, build_tandem
-from repro.statespace import reachable_bfs, reachable_mdd
+from repro.statespace import (
+    reachable_bfs,
+    reachable_mdd,
+    symbolic_reachability,
+)
 
 
 def _small_params():
@@ -23,9 +28,9 @@ def test_reachability_bfs(benchmark, small_tandem_bench):
     assert reach.num_states == small_tandem_bench["reach"].num_states
 
 
-def test_reachability_mdd(benchmark, small_tandem_bench):
+def test_reachability_saturation(benchmark, small_tandem_bench):
     model = small_tandem_bench["event_model"]
-    reach = benchmark(reachable_mdd, model)
+    reach = benchmark(symbolic_reachability, model)
     assert reach.num_states == small_tandem_bench["reach"].num_states
 
 

@@ -90,15 +90,6 @@ class CompositionalLumpingResult:
             1, self.lumped.potential_size()
         )
 
-    def class_tuple(self, state: Sequence[int]) -> Tuple[int, ...]:
-        """Map per-level substates to per-level class indices."""
-        out = []
-        for level, substate in enumerate(state):
-            partition = self.partitions[level]
-            index_map = partition.block_index_map()
-            out.append(index_map[partition.block_of(substate)])
-        return tuple(out)
-
     def class_vectors(self) -> List[np.ndarray]:
         """Per level, the dense class index of every original substate."""
         return [
@@ -106,47 +97,33 @@ class CompositionalLumpingResult:
             for p in self.partitions
         ]
 
-    def project_potential_index(self, index: int) -> int:
-        """Map an original potential-space index to the lumped one."""
-        state = self.original.state_tuple(index)
-        classes = self.class_tuple(state)
-        lumped_index = 0
-        for class_index, size in zip(classes, self.lumped.md.level_sizes):
-            lumped_index = lumped_index * size + class_index
-        return lumped_index
+    def project_potential_indices(self, indices) -> np.ndarray:
+        """Map original potential-space indices to lumped potential-space
+        indices: decode the per-level digits, send each digit to its
+        class, and re-encode in the lumped mixed radix."""
+        return _project_potential_indices(
+            indices, self.original.md.level_sizes, self.partitions
+        )
 
     def projection_vector(self) -> np.ndarray:
         """For every original state (reachable if restricted, else all
         potential states), the dense index of its lumped state."""
-        class_vectors = self.class_vectors()
-        lumped_sizes = self.lumped.md.level_sizes
-        original_indices = (
-            self.original.reachable
-            if self.original.reachable is not None
-            else range(self.original.potential_size())
-        )
-        lumped_reachable = self.lumped.reachable
-        lumped_position: Optional[Dict[int, int]] = None
-        if lumped_reachable is not None:
-            lumped_position = {p: i for i, p in enumerate(lumped_reachable)}
-        out = np.empty(
-            len(original_indices)
-            if not isinstance(original_indices, range)
-            else original_indices.stop,
-            dtype=np.int64,
-        )
-        for position, index in enumerate(original_indices):
-            state = self.original.state_tuple(index)
-            lumped_index = 0
-            for level, substate in enumerate(state):
-                lumped_index = (
-                    lumped_index * lumped_sizes[level]
-                    + int(class_vectors[level][substate])
-                )
-            if lumped_position is not None:
-                lumped_index = lumped_position[lumped_index]
-            out[position] = lumped_index
-        return out
+        original = self.original.reachable
+        if original is None:
+            original = np.arange(self.original.potential_size())
+        projected = self.project_potential_indices(original)
+        if self.lumped.reachable is None:
+            return projected
+        lumped = np.asarray(self.lumped.reachable, dtype=np.int64)
+        positions = np.searchsorted(lumped, projected)
+        if projected.size and (
+            positions.max() >= lumped.size
+            or not np.array_equal(lumped[positions], projected)
+        ):
+            raise LumpingError(
+                "an original state projects outside the lumped reachable set"
+            )
+        return positions
 
     def project_distribution(self, pi: np.ndarray) -> np.ndarray:
         """Aggregate a distribution over original states into the lumped
@@ -160,6 +137,22 @@ class CompositionalLumpingResult:
         out = np.zeros(self.lumped.num_states())
         np.add.at(out, projection, pi)
         return out
+
+
+def _project_potential_indices(
+    indices, level_sizes: Sequence[int], partitions: Sequence[Partition]
+) -> np.ndarray:
+    """The one reachable-set projection: original potential indices to
+    lumped ones, as an int64 array (``unravel`` into per-level digits,
+    gather each digit's class, ``ravel`` over the class counts)."""
+    digits = np.unravel_index(
+        np.asarray(indices, dtype=np.int64), tuple(level_sizes)
+    )
+    classes = tuple(
+        np.asarray(p.state_class_vector(), dtype=np.int64)[digit]
+        for p, digit in zip(partitions, digits)
+    )
+    return np.ravel_multi_index(classes, tuple(len(p) for p in partitions))
 
 
 def _lump_node(
@@ -487,22 +480,11 @@ def apply_partitions(
 
     lumped_reachable = None
     if model.reachable is not None:
-        lumped_sizes = lumped_md.level_sizes
-        class_vectors = [
-            np.asarray(p.state_class_vector(), dtype=np.int64)
-            for p in partitions
-        ]
-        seen = set()
-        for index in model.reachable:
-            state = model.state_tuple(index)
-            lumped_index = 0
-            for level, substate in enumerate(state):
-                lumped_index = (
-                    lumped_index * lumped_sizes[level]
-                    + int(class_vectors[level][substate])
-                )
-            seen.add(lumped_index)
-        lumped_reachable = sorted(seen)
+        lumped_reachable = np.unique(
+            _project_potential_indices(
+                model.reachable, md.level_sizes, partitions
+            )
+        ).tolist()
 
     lumped_model = MDModel(
         lumped_md,

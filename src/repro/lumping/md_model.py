@@ -103,6 +103,14 @@ class MDModel:
         )
         if self.reachable is not None:
             n = md.potential_size()
+            if n > np.iinfo(np.int64).max:
+                # Restricted models index their potential space with
+                # int64 arrays (projection, potential indices).
+                raise ModelError(
+                    f"potential space of level sizes {tuple(sizes)} has "
+                    f"{n} states, beyond int64 indexing; a reachable= "
+                    f"restriction needs fewer potential states"
+                )
             if self.reachable and (
                 self.reachable[0] < 0 or self.reachable[-1] >= n
             ):

@@ -284,8 +284,10 @@ def verify_compositional_result(
         expected = aggregated / sizes[:, None]
     # The lumped MD's state order is the mixed-radix order of class tuples;
     # align via the projection of each representative.
+    first = np.array(
+        [block[0] for block in global_partition.blocks()], dtype=np.int64
+    )
     order = np.empty(k, dtype=np.int64)
-    for block in global_partition.blocks():
-        order[class_of[block[0]]] = result.project_potential_index(block[0])
+    order[np.asarray(class_of)[first]] = result.project_potential_indices(first)
     reordered = flat_lumped[np.ix_(order, order)]
     return bool(np.abs(reordered - expected).max() <= rtol * max(1.0, np.abs(expected).max()))

@@ -6,8 +6,8 @@ dies or a budget fires.  This module adds durable progress: versioned,
 integrity-checked, atomically written snapshots of the three loops that
 dominate wall-clock time —
 
-* reachability (the BFS frontier + visited set, and the current fixpoint
-  set of the symbolic MDD engines),
+* reachability (the BFS frontier + visited set, and the node DAG of
+  saturation's current MDD with its sweep level),
 * partition refinement (the current partition with its block ids, the
   splitter worklist, and the work counters),
 * the iterative steady-state solvers (iterate vector + iteration count).

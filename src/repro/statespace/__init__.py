@@ -13,7 +13,6 @@ from repro.statespace.reachability import (
     SymbolicStateSpace,
     reachable_bfs,
     reachable_mdd,
-    reachable_saturation,
     symbolic_reachability,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "ReachabilityResult",
     "reachable_bfs",
     "reachable_mdd",
-    "reachable_saturation",
     "SymbolicStateSpace",
     "symbolic_reachability",
     "Trajectory",

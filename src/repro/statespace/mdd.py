@@ -101,35 +101,58 @@ class MDDManager:
 
     def from_tuples(self, tuples: Sequence[Sequence[int]]) -> int:
         """The MDD of an explicit collection of global states."""
-        unique = sorted({tuple(t) for t in tuples})
-        for t in unique:
-            if len(t) != self.num_levels:
-                raise StateSpaceError(
-                    f"tuple {t} has wrong length for {self.num_levels} levels"
-                )
-        return self._from_sorted(unique, 1)
-
-    def _from_sorted(self, tuples: List[Tuple[int, ...]], level: int) -> int:
-        if not tuples:
-            return FALSE
-        if level > self.num_levels:
-            return TRUE
-        children: Dict[int, int] = {}
-        start = 0
-        while start < len(tuples):
-            substate = tuples[start][level - 1]
-            end = start
-            while end < len(tuples) and tuples[end][level - 1] == substate:
-                end += 1
-            children[substate] = self._from_sorted(
-                [t for t in tuples[start:end]], level + 1
-            ) if level < self.num_levels else TRUE
-            start = end
-        return self.make(level, children)
+        node = FALSE
+        for state in tuples:
+            node = self.union(node, self.singleton(state))
+        return node
 
     def singleton(self, state: Sequence[int]) -> int:
         """The MDD containing exactly one state."""
-        return self.from_tuples([tuple(state)])
+        if len(state) != self.num_levels:
+            raise StateSpaceError(
+                f"tuple {tuple(state)} has wrong length for "
+                f"{self.num_levels} levels"
+            )
+        node = TRUE
+        for level in range(self.num_levels, 0, -1):
+            node = self.make(level, {int(state[level - 1]): node})
+        return node
+
+    # ------------------------------------------------------------------
+    # snapshots
+    # ------------------------------------------------------------------
+
+    def export_nodes(self, node: int) -> List[List[object]]:
+        """The node DAG below ``node`` as JSON-ready data, bottom-up.
+
+        Each entry is ``[level, [[substate, child], ..]]``; ``child`` is
+        0 (FALSE), 1 (TRUE) or ``2 + k`` for the k-th entry of the list,
+        so every child precedes its parents and the root comes last.  The
+        size is the number of MDD edges, not the number of states.
+        """
+        position: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        out: List[List[object]] = []
+
+        def visit(current: int) -> None:
+            if current in position:
+                return
+            children = self.children(current)
+            for _substate, child in children:
+                visit(child)
+            position[current] = len(out) + 2
+            edges = [[substate, position[child]] for substate, child in children]
+            out.append([self.level_of(current), edges])
+
+        visit(node)
+        return out
+
+    def import_nodes(self, nodes: Sequence[Sequence[object]]) -> int:
+        """Rebuild (intern) an :meth:`export_nodes` DAG; returns its root."""
+        ids = [FALSE, TRUE]
+        for level, edges in nodes:
+            children = {int(substate): ids[int(child)] for substate, child in edges}
+            ids.append(self.make(int(level), children))
+        return ids[-1] if nodes else FALSE
 
     # ------------------------------------------------------------------
     # set operations

@@ -1,16 +1,19 @@
 """Reachability analysis for event models.
 
-Two engines produce the same result:
+One symbolic engine generates the state space:
 
-* :func:`reachable_bfs` — explicit breadth-first search over encoded
-  states.  Fast for up to a few hundred thousand states.
-* :func:`reachable_mdd` — symbolic fixpoint on MDDs with per-event image
-  computation (chaining).  Keeps the set symbolic, as the paper's symbolic
-  state-space generator [10] does.
+* :func:`symbolic_reachability` — saturation on MDDs.  Keeps the set
+  symbolic, as the paper's symbolic state-space generator [10] does, and
+  answers counts, per-level supports and images under per-level maps
+  without listing a state.
+* :func:`reachable_mdd` — the same set, enumerated into a
+  :class:`ReachabilityResult` for callers that need the state list.
 
-Both return a :class:`ReachabilityResult`, which also knows how to
-materialize the reachable-restricted CTMC (for flat verification and the
-unlumped baseline) and the per-level projections (the paper's per-level
+:func:`reachable_bfs` (explicit breadth-first search over encoded states)
+is the independent oracle the tests compare the symbolic engine against.
+A :class:`ReachabilityResult` also knows how to materialize the
+reachable-restricted CTMC (for flat verification and the unlumped
+baseline) and the per-level projections (the paper's per-level
 state-space sizes ``S1, S2, S3`` in Table 1).
 """
 
@@ -36,6 +39,14 @@ def _reach_guard(model: EventModel, seeds) -> dict:
         "level_sizes": list(model.level_sizes()),
         "seeds": checkpoint.digest(repr(sorted(seeds)).encode("utf-8")),
     }
+
+
+def _flat_indices(states, level_sizes: Sequence[int]) -> List[int]:
+    """Mixed-radix flat indices of state tuples, encoded in one step."""
+    digits = np.asarray(states, dtype=np.int64).reshape(
+        len(states), len(level_sizes)
+    )
+    return np.ravel_multi_index(digits.T, tuple(level_sizes)).tolist()
 
 
 @dataclass
@@ -95,12 +106,7 @@ class ReachabilityResult:
         potential product space (for restricting flattened MDs): what
         :meth:`EventModel.encode` gives per state, computed in one step.
         A potential space too large for int64 raises ``ValueError``."""
-        digits = np.asarray(self.states, dtype=np.int64).reshape(
-            len(self.states), self.model.num_levels
-        )
-        return np.ravel_multi_index(
-            digits.T, self.model.level_sizes()
-        ).tolist()
+        return _flat_indices(self.states, self.model.level_sizes())
 
 
 def reachable_bfs(
@@ -180,25 +186,6 @@ def reachable_bfs(
     return ReachabilityResult(model, states, engine="bfs")
 
 
-def reachable_mdd(
-    model: EventModel,
-    manager: Optional[MDDManager] = None,
-    return_mdd: bool = False,
-):
-    """Symbolic fixpoint: ``S <- S U image(S, e)`` for all events until
-    stable (event chaining).  Returns a :class:`ReachabilityResult`, plus
-    the final MDD id and manager when ``return_mdd`` is true."""
-    faults.check("reachability.mdd")
-    if manager is None:
-        manager = MDDManager(model.level_sizes())
-    current = _chain(manager, model)
-    states = sorted(manager.tuples(current))
-    result = ReachabilityResult(model, states, engine="mdd")
-    if return_mdd:
-        return result, current, manager
-    return result
-
-
 @dataclass
 class SymbolicStateSpace:
     """A state set kept symbolic (never enumerated).
@@ -212,7 +199,6 @@ class SymbolicStateSpace:
     model: Optional[EventModel]
     manager: MDDManager
     node: int
-    engine: str
 
     @property
     def num_states(self) -> int:
@@ -238,85 +224,41 @@ class SymbolicStateSpace:
         send each substate to its class index."""
         target = MDDManager(tuple(target_sizes))
         node = self.manager.map_levels(self.node, mappings, target)
-        return SymbolicStateSpace(
-            model=None, manager=target, node=node, engine=self.engine
-        )
+        return SymbolicStateSpace(model=None, manager=target, node=node)
 
     def potential_indices(self) -> List[int]:
         """Sorted mixed-radix flat indices of the member states within the
         product space (for restricting an MD model to the set), encoded
         in one step.  Enumerates the set, so call it on small sets."""
-        digits = np.asarray(
-            list(self.manager.tuples(self.node)), dtype=np.int64
-        ).reshape(-1, self.manager.num_levels)
-        return np.ravel_multi_index(
-            digits.T, self.manager.level_sizes
-        ).tolist()
+        return _flat_indices(
+            list(self.manager.tuples(self.node)), self.manager.level_sizes
+        )
 
 
-def symbolic_reachability(
-    model: EventModel, strategy: str = "saturation"
-) -> SymbolicStateSpace:
-    """Reachability that never enumerates states (for very large spaces).
+def symbolic_reachability(model: EventModel) -> SymbolicStateSpace:
+    """Saturation-style symbolic reachability (Ciardo et al., cited as the
+    paper's route to very large state spaces); never enumerates states.
 
-    ``strategy`` is ``"saturation"`` or ``"chaining"``.
+    Events are grouped by their *top level* (the highest level they
+    touch).  Working bottom-up, the state set is closed under all events
+    whose top level is at or below the current level before moving up, and
+    every upper-level firing is followed by re-closing the lower levels.
+    Exploits event locality: low events never disturb high levels, so
+    their fixpoints are computed once per upper configuration instead of
+    once per global iteration.
     """
     faults.check("reachability.mdd")
     manager = MDDManager(model.level_sizes())
-    if strategy == "saturation":
-        node = _saturate(manager, model)
-    elif strategy == "chaining":
-        node = _chain(manager, model)
-    else:
-        raise StateSpaceError(f"unknown strategy {strategy!r}")
-    return SymbolicStateSpace(
-        model=model, manager=manager, node=node, engine=strategy
-    )
+    node = _saturate(manager, model)
+    return SymbolicStateSpace(model=model, manager=manager, node=node)
 
 
-def _chain(manager: MDDManager, model: EventModel) -> int:
-    node = manager.singleton(model.initial_state)
-    ck = checkpoint.active()
-    key = guard = None
-    if ck is not None:
-        key = ck.sequence_key("reachability.chain")
-        guard = _reach_guard(model, [model.initial_state])
-        record = ck.load(key, guard=guard)
-        if record is not None:
-            # Any snapshot S with seed <= S <= closure(seed) resumes
-            # exactly: the fixpoint is monotone, so closure(S) ==
-            # closure(seed).
-            node = manager.from_tuples(
-                [tuple(s) for s in record["payload"]["tuples"]]
-            )
-            if record["complete"]:
-                return node
-    try:
-        while True:
-            budgets.charge_iterations(1, stage="reachability")
-            previous = node
-            for event in model.events:
-                node = manager.union(node, manager.image(node, event))
-            if budgets.active_budget() is not None:
-                budgets.check_states(manager.count(node), stage="reachability")
-            if node == previous:
-                break
-            if ck is not None and ck.tick(key):
-                ck.save(
-                    key, {"tuples": sorted(manager.tuples(node))}, guard=guard
-                )
-    except BudgetExceeded:
-        if ck is not None:
-            ck.save(key, {"tuples": sorted(manager.tuples(node))}, guard=guard)
-        raise
-    if ck is not None:
-        ck.save(
-            key,
-            {"tuples": sorted(manager.tuples(node))},
-            guard=guard,
-            complete=True,
-        )
-    return node
+def reachable_mdd(model: EventModel) -> ReachabilityResult:
+    """:func:`symbolic_reachability`, with the set enumerated into a
+    :class:`ReachabilityResult` (for callers that need the state list)."""
+    symbolic = symbolic_reachability(model)
+    states = list(symbolic.manager.tuples(symbolic.node))
+    return ReachabilityResult(model, states, engine="saturation")
 
 
 def _saturate(manager: MDDManager, model: EventModel) -> int:
@@ -326,12 +268,15 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
     key = guard = None
     if ck is not None:
         key = ck.sequence_key("reachability.saturation")
-        guard = _reach_guard(model, [model.initial_state])
+        # ``snapshot`` names the payload layout: a snapshot holding the
+        # older tuple list fails the guard and resumes as a fresh start.
+        guard = {
+            **_reach_guard(model, [model.initial_state]),
+            "snapshot": "mdd-nodes",
+        }
         record = ck.load(key, guard=guard)
         if record is not None:
-            current = manager.from_tuples(
-                [tuple(s) for s in record["payload"]["tuples"]]
-            )
+            current = manager.import_nodes(record["payload"]["nodes"])
             if record["complete"]:
                 return current
             # Resuming the outer sweep at the saved level is sound: the
@@ -343,6 +288,14 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
         events_by_top.setdefault(event.top_level(), []).append(event)
     # Last node/level observed at a budget hook, for the exception save.
     progress = {"node": current, "top": start_top}
+
+    def save(node: int, top: int, complete: bool = False) -> None:
+        ck.save(
+            key,
+            {"nodes": manager.export_nodes(node), "top": top},
+            guard=guard,
+            complete=complete,
+        )
 
     def close_from(node: int, lowest_top: int) -> int:
         while True:
@@ -359,14 +312,7 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
             if node == previous:
                 return node
             if ck is not None and ck.tick(key):
-                ck.save(
-                    key,
-                    {
-                        "tuples": sorted(manager.tuples(node)),
-                        "top": lowest_top,
-                    },
-                    guard=guard,
-                )
+                save(node, lowest_top)
 
     try:
         for top in range(start_top, 0, -1):
@@ -375,49 +321,8 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
             progress["node"] = current
     except BudgetExceeded:
         if ck is not None:
-            ck.save(
-                key,
-                {
-                    "tuples": sorted(manager.tuples(progress["node"])),
-                    "top": progress["top"],
-                },
-                guard=guard,
-            )
+            save(progress["node"], progress["top"])
         raise
     if ck is not None:
-        ck.save(
-            key,
-            {"tuples": sorted(manager.tuples(current)), "top": 1},
-            guard=guard,
-            complete=True,
-        )
+        save(current, 1, complete=True)
     return current
-
-
-def reachable_saturation(
-    model: EventModel,
-    manager: Optional[MDDManager] = None,
-    return_mdd: bool = False,
-):
-    """Saturation-style symbolic reachability (Ciardo et al., cited as the
-    paper's route to very large state spaces).
-
-    Events are grouped by their *top level* (the highest level they
-    touch).  Working bottom-up, the state set is closed under all events
-    whose top level is at or below the current level before moving up, and
-    every upper-level firing is followed by re-closing the lower levels.
-    Exploits event locality: low events never disturb high levels, so
-    their fixpoints are computed once per upper configuration instead of
-    once per global iteration.
-    """
-    faults.check("reachability.mdd")
-    if manager is None:
-        manager = MDDManager(model.level_sizes())
-    # Saturate bottom-up: after closing under deep (local) events, each
-    # firing of a higher event is followed by re-closing everything below.
-    current = _saturate(manager, model)
-    states = sorted(manager.tuples(current))
-    result = ReachabilityResult(model, states, engine="saturation")
-    if return_mdd:
-        return result, current, manager
-    return result

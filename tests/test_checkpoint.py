@@ -30,7 +30,7 @@ from repro.robust.checkpoint import (
     digest,
 )
 from repro.robust.report import RunReport
-from repro.statespace import reachable_bfs
+from repro.statespace import reachable_bfs, symbolic_reachability
 
 SMALL = dict(cube_dim=2, msmq_servers=2, msmq_queues=2)
 
@@ -382,6 +382,49 @@ class TestReachabilityResume:
         with Checkpointer(ck_dir, resume=True), Budget(max_states=1):
             again = reachable_bfs(event_model)
         assert again.states == first.states
+
+    def test_saturation_resumes_mid_sweep_from_node_snapshot(
+        self, small_tandem, tmp_path
+    ):
+        event_model = small_tandem["compiled"].event_model
+        clean = symbolic_reachability(event_model)
+        ck_dir = str(tmp_path)
+        with pytest.raises(BudgetExceeded):
+            with Checkpointer(ck_dir), Budget(max_iterations=5):
+                symbolic_reachability(event_model)
+        with open(tmp_path / "reachability.saturation#0.json") as handle:
+            payload = json.load(handle)["payload"]
+        # The MDD's nodes, stopped below the top level; no state list.
+        assert set(payload) == {"nodes", "top"}
+        assert 1 < payload["top"] < event_model.num_levels
+        with Checkpointer(ck_dir, resume=True) as ck:
+            resumed = symbolic_reachability(event_model)
+        assert [e.kind for e in ck.events if e.kind == "resumed"]
+        assert resumed.num_states == clean.num_states
+        assert resumed.level_supports() == clean.level_supports()
+
+    def test_tuple_list_saturation_snapshot_is_a_fresh_start(
+        self, small_tandem, tmp_path
+    ):
+        event_model = small_tandem["compiled"].event_model
+        clean = symbolic_reachability(event_model)
+        # A snapshot in the earlier layout: every reachable tuple.
+        initial = event_model.initial_state
+        Checkpointer(str(tmp_path)).save(
+            "reachability.saturation#0",
+            {"tuples": [list(initial)], "top": 2},
+            guard={
+                "level_sizes": list(event_model.level_sizes()),
+                "seeds": digest(repr(sorted([initial])).encode("utf-8")),
+            },
+        )
+        report = RunReport()
+        with Checkpointer(str(tmp_path), resume=True, report=report):
+            resumed = symbolic_reachability(event_model)
+        fallbacks = report.fallbacks_for("checkpoint")
+        assert [event.used for event in fallbacks] == ["fresh start"]
+        assert resumed.num_states == clean.num_states
+        assert resumed.level_supports() == clean.level_supports()
 
 
 # ----------------------------------------------------------------------

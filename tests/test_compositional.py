@@ -116,13 +116,20 @@ class TestFullLumping:
     def test_class_tuple_and_projection_consistent(self, three_level_model):
         result = compositional_lump(three_level_model, "ordinary")
         model = three_level_model
+        expected = []
         for index in range(model.potential_size()):
-            state = model.state_tuple(index)
-            classes = result.class_tuple(state)
             lumped_index = 0
-            for c, size in zip(classes, result.lumped.md.level_sizes):
-                lumped_index = lumped_index * size + c
-            assert result.project_potential_index(index) == lumped_index
+            for partition, substate, size in zip(
+                result.partitions,
+                model.state_tuple(index),
+                result.lumped.md.level_sizes,
+            ):
+                block = partition.block_index_map()[partition.block_of(substate)]
+                lumped_index = lumped_index * size + block
+            expected.append(lumped_index)
+        indices = np.arange(model.potential_size())
+        assert result.project_potential_indices(indices).tolist() == expected
+        assert result.projection_vector().tolist() == expected
 
     def test_invalid_level_rejected(self, three_level_model):
         with pytest.raises(LumpingError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import ModelError
 from repro.lumping import MDModel
@@ -83,6 +84,17 @@ class TestRestriction:
     def test_reachable_bounds_checked(self, tiny_md):
         with pytest.raises(ModelError):
             MDModel(tiny_md, reachable=[99])
+
+    def test_reachable_beyond_int64_potential_rejected(self):
+        # 1024**7 = 2**70 potential states: the restriction's indices
+        # cannot be handled as int64 arrays.
+        sizes = (1024,) * 7
+        md = md_from_kronecker_terms(
+            [(1.0, [sparse.identity(1024, format="csr")] * 7)], sizes
+        )
+        assert MDModel(md).potential_size() == 2**70
+        with pytest.raises(ModelError, match=r"\(1024, 1024, 1024"):
+            MDModel(md, reachable=[0, 2**70 - 1])
 
     def test_flat_ctmc_restricted_shape(self, tiny_md):
         model = MDModel(tiny_md, reachable=[0, 1, 2])

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.lumping import MDModel, compositional_lump, lump_mrp
+from repro.lumping.compositional import apply_partitions
 from repro.lumping.keys import class_sum_keys
 from repro.lumping.verify import (
     global_product_partition,
@@ -321,3 +322,67 @@ def test_compositional_lumping_always_globally_lumpable(seed):
     result = compositional_lump(model, "ordinary")
     partition = global_product_partition(result.partitions, md.level_sizes)
     assert is_ordinarily_lumpable(flatten(md), partition)
+
+
+@given(tuple_set_strategy)
+@SLOW
+def test_mdd_node_export_import_roundtrip(tuples):
+    manager = MDDManager((2, 3, 2))
+    node = manager.from_tuples(sorted(tuples))
+    exported = manager.export_nodes(node)
+    fresh = MDDManager((2, 3, 2))
+    assert set(fresh.tuples(fresh.import_nodes(exported))) == tuples
+    # One entry per node of the set's DAG, each interned once.
+    assert fresh.num_nodes == len(exported)
+
+
+# ----------------------------------------------------------------------
+# the reachable-set projection of apply_partitions vs a scalar oracle
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def restricted_models_with_partitions(draw):
+    """A random 2-4-level MD model with a random reachable subset and a
+    random partition per level."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    md = md_from_kronecker_terms(
+        [(1.0, [rng.random((size, size)) for size in sizes])], sizes
+    )
+    potential = int(np.prod(sizes))
+    reachable = draw(
+        st.sets(st.integers(0, potential - 1), min_size=1, max_size=potential)
+    )
+    partitions = [
+        Partition.from_labels(
+            draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        )
+        for size in sizes
+    ]
+    return MDModel(md, reachable=sorted(reachable)), partitions
+
+
+@given(restricted_models_with_partitions(), st.integers(0, 2**16))
+@SLOW
+def test_projection_matches_scalar_oracle(case, seed):
+    model, partitions = case
+    result = apply_partitions(model, partitions)
+
+    def lumped_index(index):
+        out = 0
+        for partition, substate in zip(partitions, model.state_tuple(index)):
+            dense = partition.block_index_map()[partition.block_of(substate)]
+            out = out * len(partition) + dense
+        return out
+
+    projected = [lumped_index(index) for index in model.reachable]
+    reachable = sorted(set(projected))
+    positions = [reachable.index(p) for p in projected]
+    assert result.lumped.reachable == reachable
+    assert result.projection_vector().tolist() == positions
+    pi = np.random.default_rng(seed).random(len(model.reachable))
+    expected = np.zeros(len(reachable))
+    for position, mass in zip(positions, pi):
+        expected[position] += mass
+    assert np.array_equal(result.project_distribution(pi), expected)

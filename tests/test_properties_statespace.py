@@ -16,7 +16,6 @@ from repro.statespace import (
     LevelSpace,
     reachable_bfs,
     reachable_mdd,
-    reachable_saturation,
     symbolic_reachability,
 )
 
@@ -66,7 +65,6 @@ def random_event_models(draw):
 def test_all_reachability_engines_agree(model):
     bfs = reachable_bfs(model).states
     assert reachable_mdd(model).states == bfs
-    assert reachable_saturation(model).states == bfs
     symbolic = symbolic_reachability(model)
     assert symbolic.num_states == len(bfs)
     supports = symbolic.level_supports()

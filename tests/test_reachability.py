@@ -1,4 +1,4 @@
-"""Tests for reachability: BFS vs MDD, projections, CTMC extraction."""
+"""Tests for reachability: BFS vs saturation, projections, CTMC extraction."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.statespace import (
     LevelSpace,
     reachable_bfs,
     reachable_mdd,
-    reachable_saturation,
 )
 from repro.models import TandemParams, build_tandem
 from repro.models.simple import closed_tandem_join
@@ -84,31 +83,18 @@ class TestMDDReachability:
         mdd = reachable_mdd(model)
         assert bfs.states == mdd.states
 
-    def test_return_mdd(self):
-        model = ring_model(2)
-        result, node, manager = reachable_mdd(model, return_mdd=True)
-        assert manager.count(node) == result.num_states
-
 
 class TestSaturation:
     def test_matches_bfs_on_ring(self):
         model = ring_model(3)
-        assert (
-            reachable_saturation(model).states
-            == reachable_bfs(model).states
-        )
+        assert reachable_mdd(model).states == reachable_bfs(model).states
 
     def test_matches_bfs_on_compiled_model(self):
         compiled = compile_join(closed_tandem_join(jobs=2))
         model = compiled.event_model
-        sat = reachable_saturation(model)
+        sat = reachable_mdd(model)
         assert sat.states == reachable_bfs(model).states
         assert sat.engine == "saturation"
-
-    def test_return_mdd(self):
-        model = ring_model(2)
-        result, node, manager = reachable_saturation(model, return_mdd=True)
-        assert manager.count(node) == result.num_states
 
     def test_local_events_only(self):
         # A model with only level-local events saturates level by level.
@@ -117,7 +103,7 @@ class TestSaturation:
         walk = Event("walk", 1.0, {1: {0: [(1, 1.0)], 1: [(2, 1.0)]}})
         flip = Event("flip", 1.0, {2: {0: [(1, 1.0)], 1: [(0, 1.0)]}})
         model = EventModel([l1, l2], [walk, flip], [0, 0])
-        sat = reachable_saturation(model)
+        sat = reachable_mdd(model)
         assert sat.num_states == 6
 
 
